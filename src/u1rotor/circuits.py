@@ -15,6 +15,7 @@ circuit and never becomes a gate.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -36,6 +37,8 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.name!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated qubit in {self.name} gate: {self.qubits}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"non-finite angle {self.angle} in {self.name} gate")
 
 
 @dataclass
@@ -163,16 +166,16 @@ def exact_circuit(series: WalshSeries) -> Circuit:
 
 
 def truncated_circuit(series: WalshSeries, theta_min: float) -> Circuit:
-    """Threshold-truncate, synthesize in sequency order, then simplify CNOTs.
+    """Threshold-truncate, then synthesize the kept entries in sequency order.
 
-    The Rz count equals the number of kept nonzero-mask coefficients; the
-    global phase keeps the full mask-0 coefficient regardless of the cutoff.
+    Truncation comes first, so adjacent kept masks already cost one CNOT per
+    bit of their XOR and no cancelling CNOT pair is left to simplify.  The Rz
+    count equals the number of kept nonzero-mask coefficients; the global
+    phase keeps the full mask-0 coefficient regardless of the cutoff.
     """
     kept, _ = threshold_truncate(series, theta_min)
-    phase = series.coefficient(0)
-    raw = exact_circuit(WalshSeries(kept.n, {m: c for m, c in kept.terms.items() if m != 0}))
-    out = simplify_cnots(raw)
-    out.global_phase = phase
+    out = exact_circuit(kept)
+    out.global_phase = series.coefficient(0)
     return out
 
 
@@ -189,7 +192,8 @@ def simplify_cnots(circuit: Circuit) -> Circuit:
     """Fixed-point local rewrite: cancel CNOT pairs reachable through commuting gates.
 
     Handles Rz/CNOT circuits only; CNOTs sharing a target commute, which is
-    what exposes the cancellations left behind by truncation.
+    what exposes the cancellations in hand-built circuits such as a row of
+    mirrored `exp_walsh` blocks.  Sequency-ordered synthesis never leaves one.
     """
     for g in circuit.gates:
         if g.name not in ("rz", "cx"):
@@ -236,11 +240,11 @@ def sequency_gate_counts(series: WalshSeries, theta_min: float = 0.0) -> dict[st
 
     Per msb group: entry CNOTs for the low bits of the first kept mask, one
     CNOT per XOR bit between adjacent kept masks, and unwind CNOTs for the
-    low bits of the last mask.  This is exactly what survives the simplify
-    pass (runs of same-target CNOTs reduce to their parity).
+    low bits of the last mask.  This is exactly the gate list that
+    `truncated_circuit` emits.
     """
-    if theta_min < 0:
-        raise ValueError(f"negative cutoff {theta_min}")
+    if not theta_min >= 0:
+        raise ValueError(f"cutoff must be non-negative, got {theta_min}")
     cut = theta_min / 2.0
     masks = np.array(
         [m for m, c in series.terms.items() if m != 0 and abs(c) >= cut], dtype=np.int64

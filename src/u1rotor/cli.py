@@ -11,7 +11,8 @@ Subcommands
 
 Every run is deterministic; tables carry the resolved configuration in their
 header so outputs are reproducible byte for byte.  Values may come from a
-JSON config file (--config); explicit command-line flags win.
+JSON config file (--config) keyed by flag name; its values are read as flag
+text (lists joined by commas) and explicit command-line flags win.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .circuits import gate_count, sequency_gate_counts
+from .circuits import export_qasm, gate_count, sequency_gate_counts
 from .hamiltonian import (
     DENSE_LIMIT_QUBITS,
-    TERM_LIMIT_QUBITS,
+    CosineTerm,
     build_model,
-    cosine_rows,
     dense_matrix,
     electric_terms,
     magnetic_terms,
@@ -40,18 +40,21 @@ from .hamiltonian import (
 from .lattice import (
     Digitization,
     LatticeSpec,
+    ResourceLimitError,
     WeaveUnavailableError,
-    b_grid,
     builtin_weave,
     digitize,
-    embed_positions,
     load_weave,
 )
 from .simulator import loschmidt
-from .trotter import ThetaPolicy, TrotterPlan, hamiltonian_series, step_circuit
-from .walsh import DiagonalValues, embed, fwt, l1_norm
-
-from .circuits import export_qasm
+from .trotter import (
+    ThetaPolicy,
+    TrotterPlan,
+    hamiltonian_series,
+    product_scaling_study,
+    step_circuit,
+)
+from .walsh import l1_norm
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +198,10 @@ def cmd_spectrum(args) -> int:
         vals = np.linalg.eigvalsh(dense_matrix(model, limit))
         return vals[:levels]
 
+    if formulation == "compact" and len(set(nq_list)) < 2:
+        raise SystemExit(
+            "compact spectra need at least two --nq values; the largest serves as the reference"
+        )
     if formulation == "non-compact":
         reference = noncompact_spectrum_oracle(lattice, levels)
         run_nqs = nq_list
@@ -278,27 +285,9 @@ def cmd_plaquette(args) -> int:
 # gate counts
 
 
-def _maximal_term_series(n_p, n_q, g, basis, weave, scale, limit=TERM_LIMIT_QUBITS):
-    """Walsh series of scale * the maximally coupled cosine row over n_p plaquettes."""
-    use = weave if basis == "weaved" else None
-    d = digitize(n_p, n_q, g, "compact", basis, use)
-    row = cosine_rows(n_p, use)[-1]
-    width = n_p * n_q
-    if width > limit:
-        raise SystemExit(f"maximal term spans {width} qubits, above the limit of {limit}")
-    arg = np.zeros((1 << n_q,) * n_p)
-    for b in range(n_p):
-        shape = (1,) * b + (1 << n_q,) + (1,) * (n_p - 1 - b)
-        arg = arg + row[b] * b_grid(d, b).values.reshape(shape)
-    values = scale * (-1.0 / g**2) * np.cos(arg).ravel()
-    local = fwt(DiagonalValues(width, values))
-    return embed(local, embed_positions(range(n_p), n_q), width)
-
-
-def _bare_cosine_series(n_q, g, scale):
-    d = digitize(1, n_q, g, "compact")
-    local = fwt(DiagonalValues(n_q, scale * np.cos(b_grid(d, 0).values)))
-    return embed(local, embed_positions([0], n_q), n_q)
+def _bare_cosine(n_p: int, g: float) -> CosineTerm:
+    """cos(B_0 + ... + B_{n_p-1}): the prefactor g^2 cancels the term's 1/g^2."""
+    return CosineTerm(tuple((p, 1.0) for p in range(n_p)), prefactor=g**2)
 
 
 def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy, dt, order, formulation):
@@ -313,9 +302,10 @@ def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy
         counts = gate_count(step_circuit(model, plan))
         return counts["rz"], counts["cx"]
     if term == "cosine":
-        series = _bare_cosine_series(n_q, g, dt)
+        series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, n_q, g, "compact"), dt)
     elif term == "maximal":
-        series = _maximal_term_series(n_p, n_q, g, basis, use, -dt)
+        d = digitize(n_p, n_q, g, "compact", basis, use)
+        series = hamiltonian_series(magnetic_terms(d, use)[-1:], d, -dt)
     elif term == "electric":
         if lattice is None or lattice.n_p != n_p:
             raise SystemExit("electric gate counts need --lattice matching n_p")
@@ -388,22 +378,6 @@ def cmd_gatecount(args) -> int:
 # L1 norm of the maximally coupled cosine
 
 
-def l1_point(n_p, n_q, b_max=None, g=None):
-    big_n = 1 << n_q
-    if b_max is None:
-        d = digitize(n_p, n_q, g, "compact")
-        grids = [b_grid(d, i).values for i in range(n_p)]
-    else:
-        grid = -b_max + 2.0 * b_max / big_n * np.arange(big_n)
-        grids = [grid] * n_p
-    arg = np.zeros((big_n,) * n_p)
-    for b in range(n_p):
-        shape = (1,) * b + (big_n,) + (1,) * (n_p - 1 - b)
-        arg = arg + grids[b].reshape(shape)
-    series = fwt(DiagonalValues(n_p * n_q, np.cos(arg).ravel()))
-    return l1_norm(series)
-
-
 def cmd_l1(args) -> int:
     nq_list = args.nq or [2, 3]
     np_list = args.np
@@ -417,7 +391,11 @@ def cmd_l1(args) -> int:
             n = n_p * n_q
             if n > limit:
                 continue
-            val = l1_point(n_p, n_q, b_max, g)
+            if b_max is None:
+                d = digitize(n_p, n_q, g, "compact")
+            else:
+                d = Digitization(n_q, g, np.full(n_p, b_max), "compact", "original")
+            val = l1_norm(hamiltonian_series([_bare_cosine(n_p, g)], d, 1.0))
             rows.append((n_q, n_p, n, val, 2.0 ** ((n - 5) / 4.0)))
     config = dict(nq=nq_list, np=np_list, qubit_limit=limit,
                   bmax_over_pi=args.bmax_over_pi, g=g)
@@ -428,42 +406,6 @@ def cmd_l1(args) -> int:
 
 # ---------------------------------------------------------------------------
 # repeated-product scaling study
-
-
-def product_scaling_study(n_q=2, np_max=8, g=0.1, theta_exponents=range(0, 37)):
-    """CNOT counts and polynomial fits for exp(i * cos x ... cos x) products.
-
-    Fits CNOT(n_p) for n_p = 1..np_max to an exact interpolating polynomial
-    sum b_k n_p^k per cutoff, and estimates the cutoff where each power turns
-    on as the geometric midpoint between the last grid point without it and
-    the first with it.  Predictions are 2 * A2^r with A2 the second largest
-    single-cosine coefficient magnitude.
-    """
-    d = digitize(1, n_q, g, "compact")
-    f = np.cos(b_grid(d, 0).values)
-    single = np.sort(np.abs(np.array(list(fwt(DiagonalValues(n_q, f)).terms.values()))))[::-1]
-    a2 = float(single[1])
-
-    thetas = [2.0**-k for k in theta_exponents]
-    counts = np.zeros((len(thetas), np_max), dtype=int)
-    joint = np.ones(1)
-    for n_p in range(1, np_max + 1):
-        joint = np.kron(joint, f)  # earlier factors most significant
-        width = n_p * n_q
-        local = fwt(DiagonalValues(width, joint))
-        series = embed(local, embed_positions(range(n_p), n_q), width)
-        for ti, theta in enumerate(thetas):
-            counts[ti, n_p - 1] = sequency_gate_counts(series, theta)["cx"]
-
-    powers = np.arange(1, np_max + 1, dtype=float)[:, None] ** np.arange(np_max)[None, :]
-    fit = np.linalg.solve(powers, counts.T.astype(float)).T  # rows: theta, cols: b_0..b_{np_max-1}
-
-    transitions = {}
-    for r in range(1, min(5, np_max - 1) + 1):
-        on = [t for t, row in zip(thetas, fit) if abs(row[r]) > 0.5]
-        fitted = max(on) * math.sqrt(2.0) if on else None
-        transitions[r] = {"fitted": fitted, "predicted": 2.0 * a2**r}
-    return {"thetas": thetas, "counts": counts, "fit": fit, "a2": a2, "transitions": transitions}
 
 
 def cmd_product_scaling(args) -> int:
@@ -502,13 +444,16 @@ def cmd_evolve(args) -> int:
     mode = args.theta_min_policy or "dt"
 
     points = [(float(g), float(dt), float(kappa)) for g in gs for dt in dts for kappa in kappas]
+    steps = {dt: round(t / dt) for dt in dts}
+    for dt, n in steps.items():
+        if abs(n * dt - t) > 1e-9 * abs(t):
+            raise SystemExit(f"--t {t:g} is not a whole number of steps of size {dt:g}")
 
     def run(point):
         g, dt, kappa = point
         model = _model(lattice, n_q, g, formulation, basis, weave)
-        steps = int(round(t / dt)) if t > 0 else 0
         policy = ThetaPolicy(mode, kappa)
-        plan = TrotterPlan(order, dt, steps, policy, policy)
+        plan = TrotterPlan(order, dt, steps[dt], policy, policy)
         return loschmidt(model, plan)
 
     values = _pmap(run, points, args.workers)
@@ -617,32 +562,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    if not args.config:
-        return
-    with open(args.config) as fh:
-        defaults = json.load(fh)
-    parser_types = {
-        "lattice": _parse_lattice, "nq": _parse_ints, "np": _parse_ints,
-        "g_grid": _parse_grid, "dt_list": _parse_floats, "theta_list": _parse_floats,
-        "theta_grid": _parse_floats,
-    }
-    for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+def _config_argv(path, args: argparse.Namespace) -> list[str]:
+    """A JSON config as flag tokens: true sets a switch, null and false are skipped."""
+    with open(path) as fh:
+        config = json.load(fh)
+    tokens = []
+    for key, value in config.items():
+        if not hasattr(args, key.replace("-", "_")):
             raise SystemExit(f"config key {key!r} is not a known option")
-        if getattr(args, attr) in (None, False):
-            if attr in parser_types and isinstance(value, str):
-                value = parser_types[attr](value)
-            setattr(args, attr, value)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config(args, argv)
-    return args.func(args)
+    if args.config:
+        # config flags go right after the subcommand, so explicit flags, parsed later, win
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_argv(args.config, args) + argv[at:])
+    try:
+        return args.func(args)
+    except (ValueError, ResourceLimitError) as exc:
+        raise SystemExit(f"u1rotor {args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ splittings where the coefficients themselves shrink with dt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import Circuit, qft_circuit, truncated_circuit
+from .circuits import Circuit, qft_circuit, sequency_gate_counts, truncated_circuit
 from .hamiltonian import (
     CosineTerm,
     DENSE_LIMIT_QUBITS,
@@ -28,7 +29,7 @@ from .hamiltonian import (
     dense_electric,
     diagonal_of_term,
 )
-from .lattice import embed_positions
+from .lattice import b_grid, digitize, embed_positions
 from .walsh import DiagonalValues, WalshSeries, embed, fwt, merge, threshold_truncate
 
 
@@ -42,8 +43,8 @@ class ThetaPolicy:
     def __post_init__(self):
         if self.mode not in ("abs", "dt", "dt2"):
             raise ValueError(f"unknown cutoff policy {self.mode!r}")
-        if self.value < 0:
-            raise ValueError("cutoff must be non-negative")
+        if not self.value >= 0:
+            raise ValueError(f"cutoff must be non-negative, got {self.value}")
 
     def resolve(self, dt: float) -> float:
         if self.mode == "abs":
@@ -64,8 +65,8 @@ class TrotterPlan:
     def __post_init__(self):
         if self.order not in (1, 2):
             raise ValueError("only first and second order splittings are supported")
-        if self.dt <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {self.dt}")
         if self.steps < 0:
             raise ValueError("step count must be non-negative")
 
@@ -220,3 +221,39 @@ def n_drop_monotonicity_check(
         )
     monotone = all(a <= b for a, b in zip(drops, drops[1:]))
     return NDropReport(dts, tuple(drops), monotone)
+
+
+def product_scaling_study(n_q=2, np_max=8, g=0.1, theta_exponents=range(0, 37)):
+    """CNOT counts and polynomial fits for exp(i * cos x ... cos x) products.
+
+    Fits CNOT(n_p) for n_p = 1..np_max to an exact interpolating polynomial
+    sum b_k n_p^k per cutoff, and estimates the cutoff where each power turns
+    on as the geometric midpoint between the last grid point without it and
+    the first with it.  Predictions are 2 * A2^r with A2 the second largest
+    single-cosine coefficient magnitude.
+    """
+    d = digitize(1, n_q, g, "compact")
+    f = np.cos(b_grid(d, 0).values)
+    single = np.sort(np.abs(np.array(list(fwt(DiagonalValues(n_q, f)).terms.values()))))[::-1]
+    a2 = float(single[1])
+
+    thetas = [2.0**-k for k in theta_exponents]
+    counts = np.zeros((len(thetas), np_max), dtype=int)
+    joint = np.ones(1)
+    for n_p in range(1, np_max + 1):
+        joint = np.kron(joint, f)  # earlier factors most significant
+        width = n_p * n_q
+        local = fwt(DiagonalValues(width, joint))
+        series = embed(local, embed_positions(range(n_p), n_q), width)
+        for ti, theta in enumerate(thetas):
+            counts[ti, n_p - 1] = sequency_gate_counts(series, theta)["cx"]
+
+    powers = np.arange(1, np_max + 1, dtype=float)[:, None] ** np.arange(np_max)[None, :]
+    fit = np.linalg.solve(powers, counts.T.astype(float)).T  # rows: theta, cols: b_0..b_{np_max-1}
+
+    transitions = {}
+    for r in range(1, min(5, np_max - 1) + 1):
+        on = [t for t, row in zip(thetas, fit) if abs(row[r]) > 0.5]
+        fitted = max(on) * math.sqrt(2.0) if on else None
+        transitions[r] = {"fitted": fitted, "predicted": 2.0 * a2**r}
+    return {"thetas": thetas, "counts": counts, "fit": fit, "a2": a2, "transitions": transitions}

@@ -23,20 +23,11 @@ import numpy as np
 PRUNE_TOL = 1e-15
 
 
-def bit_reverse(value: int, width: int) -> int:
-    """Reverse the low ``width`` bits of ``value``."""
-    out = 0
+def bit_reverse(value, width: int):
+    """Reverse the low ``width`` bits of ``value`` (an int or an integer array)."""
+    out = value & 0  # zero of the same type and shape
     for i in range(width):
         out = (out << 1) | ((value >> i) & 1)
-    return out
-
-
-def _reversal_permutation(n: int) -> np.ndarray:
-    """Vector of bit_reverse(k, n) for k = 0 .. 2^n - 1."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for i in range(n):
-        out = (out << 1) | ((idx >> i) & 1)
     return out
 
 
@@ -109,14 +100,18 @@ def _fwht_inplace(a: np.ndarray) -> None:
         h *= 2
 
 
-def fwt(values: DiagonalValues) -> WalshSeries:
-    """Forward transform of a dyadically sampled diagonal into a sparse series."""
-    n = values.n
-    work = values.values[_reversal_permutation(n)].astype(float)
+def _series_of_state_order(work: np.ndarray, n: int) -> WalshSeries:
+    """Normalized transform of a state-ordered diagonal; overwrites ``work``."""
     _fwht_inplace(work)
     work /= 1 << n
     keep = np.nonzero(np.abs(work) > PRUNE_TOL)[0]
     return WalshSeries(n, {int(j): float(work[j]) for j in keep})
+
+
+def fwt(values: DiagonalValues) -> WalshSeries:
+    """Forward transform of a dyadically sampled diagonal into a sparse series."""
+    n = values.n
+    return _series_of_state_order(values.values[bit_reverse(np.arange(1 << n), n)], n)
 
 
 def series_from_state_values(values: np.ndarray, n: int) -> WalshSeries:
@@ -124,21 +119,13 @@ def series_from_state_values(values: np.ndarray, n: int) -> WalshSeries:
     vals = np.asarray(values, dtype=float)
     if vals.shape != (1 << n,):
         raise ValueError(f"expected {1 << n} values for n={n}, got {vals.shape}")
-    work = vals.copy()
-    _fwht_inplace(work)
-    work /= 1 << n
-    keep = np.nonzero(np.abs(work) > PRUNE_TOL)[0]
-    return WalshSeries(n, {int(j): float(work[j]) for j in keep})
+    return _series_of_state_order(vals.copy(), n)
 
 
 def inverse_fwt(series: WalshSeries) -> DiagonalValues:
     """Reconstruct the dense dyadic diagonal represented by a series."""
     n = series.n
-    coeffs = np.zeros(1 << n)
-    for mask, c in series.terms.items():
-        coeffs[mask] = c
-    _fwht_inplace(coeffs)
-    return DiagonalValues(n, coeffs[_reversal_permutation(n)])
+    return DiagonalValues(n, state_values(series)[bit_reverse(np.arange(1 << n), n)])
 
 
 def state_values(series: WalshSeries) -> np.ndarray:
@@ -193,12 +180,19 @@ def embed(series: WalshSeries, positions: list[int], width: int) -> WalshSeries:
     for p in positions:
         if not 0 <= p < width:
             raise ValueError(f"position {p} outside target register of width {width}")
+    # one lookup table per byte of a mask: the moved bits for each of its 256 values
+    tables = []
+    for lo in range(0, series.n, 8):
+        chunk = positions[lo:lo + 8]
+        table = [0] * (1 << len(chunk))
+        for v in range(1, len(table)):
+            table[v] = table[v & (v - 1)] | (1 << chunk[(v & -v).bit_length() - 1])
+        tables.append((lo, table))
     moved: dict[int, float] = {}
     for mask, coeff in series.terms.items():
         new = 0
-        for i in range(series.n):
-            if (mask >> i) & 1:
-                new |= 1 << positions[i]
+        for lo, table in tables:
+            new |= table[(mask >> lo) & 0xFF]
         moved[new] = coeff
     return WalshSeries(width, moved)
 
@@ -212,6 +206,8 @@ def merge(series_list) -> WalshSeries:
     series_list = list(series_list)
     if not series_list:
         raise ValueError("nothing to merge")
+    if len(series_list) == 1:
+        return series_list[0]
     n = series_list[0].n
     total: dict[int, float] = {}
     for s in series_list:
@@ -228,8 +224,8 @@ def threshold_truncate(series: WalshSeries, theta_min: float) -> tuple[WalshSeri
     Keeps exactly the entries with |a_j| >= theta_min / 2 and returns the
     surviving series together with the number of dropped entries.
     """
-    if theta_min < 0:
-        raise ValueError(f"negative cutoff {theta_min}")
+    if not theta_min >= 0:
+        raise ValueError(f"cutoff must be non-negative, got {theta_min}")
     cut = theta_min / 2.0
     kept = {m: c for m, c in series.terms.items() if abs(c) >= cut}
     return WalshSeries(series.n, kept), len(series.terms) - len(kept)

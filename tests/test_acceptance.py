@@ -13,14 +13,14 @@ import math
 import numpy as np
 
 import u1rotor as u
-from u1rotor.cli import (
-    _bare_cosine_series,
-    _maximal_term_series,
-    l1_point,
-    plaquette_point,
-    product_scaling_study,
-)
+from u1rotor.cli import plaquette_point
+from u1rotor.trotter import product_scaling_study
 from conftest import diagonal_exponential, random_series
+
+
+def _cos_sum(n_p, g):
+    """cos(B_0 + ... + B_{n_p-1}) with no coupling factor: prefactor g^2 cancels 1/g^2."""
+    return u.CosineTerm(tuple((p, 1.0) for p in range(n_p)), prefactor=g**2)
 
 
 def _report(num, name, passed):
@@ -168,7 +168,8 @@ def test_criterion_09_l1_growth():
             n = n_p * n_q
             if not 6 <= n <= 16:
                 continue
-            value = l1_point(n_p, n_q, b_max=0.5 * np.pi)
+            d = u.Digitization(n_q, 1.0, np.full(n_p, 0.5 * np.pi), "compact", "original")
+            value = u.l1_norm(u.hamiltonian_series([_cos_sum(n_p, 1.0)], d, 1.0))
             ok &= value >= 2.0 ** ((n - 5) / 4.0)
     _report(9, "L1 norm exceeds 2^((n-5)/4) on all tested sizes", ok)
 
@@ -186,7 +187,8 @@ def test_criterion_10_original_basis_truncated_scaling():
     for ratio in (0.125, 0.25, 0.5):
         counts = []
         for n_p in nps:
-            series = _maximal_term_series(int(n_p), 3, 0.1, "original", None, -1.0)
+            d = u.digitize(int(n_p), 3, 0.1, "compact")
+            series = u.hamiltonian_series(u.magnetic_terms(d)[-1:], d, -1.0)
             counts.append(u.sequency_gate_counts(series, ratio)["cx"])
         slopes.append(float(np.polyfit(np.log(nps), np.log(counts), 1)[0]))
     ok = all(2.5 <= s <= 4.5 for s in slopes)
@@ -236,7 +238,11 @@ def test_criterion_13_single_cosine_saturation():
     the count is constant from n_q = d* on and differs at n_q = d* - 1.
     """
     n_max = 14
-    deep = _bare_cosine_series(n_max, 0.5, 1.0)
+    def cosine_series(n_q):
+        d = u.digitize(1, n_q, 0.5, "compact")
+        return u.hamiltonian_series([_cos_sum(1, 0.5)], d, 1.0)
+
+    deep = cosine_series(n_max)
     top = 1 << (n_max - 1)
     premise = True
     for depth in range(5, n_max + 1):
@@ -253,7 +259,7 @@ def test_criterion_13_single_cosine_saturation():
     for theta in (1e-2, 1e-3):
         d_star = math.floor(2 + math.log2(1 / theta))
         counts = [
-            u.sequency_gate_counts(_bare_cosine_series(n_q, 0.5, 1.0), theta)["cx"]
+            u.sequency_gate_counts(cosine_series(n_q), theta)["cx"]
             for n_q in range(1, n_max + 1)
         ]
         threshold = len(counts)

@@ -125,6 +125,18 @@ def test_sequency_gate_counts_matches_circuit_path(rng):
         built = u.gate_count(u.truncated_circuit(series, theta))
         assert shortcut["rz"] == built["rz"]
         assert shortcut["cx"] == built["cx"]
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            u.sequency_gate_counts(series, bad)
+
+
+def test_truncated_circuit_leaves_nothing_to_simplify(rng):
+    # truncation precedes sequency synthesis, so no cleanup pass is needed
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        series = random_series(rng, n, density=float(rng.uniform(0.05, 1.0)))
+        circ = u.truncated_circuit(series, float(rng.uniform(0, 2.0)))
+        assert u.simplify_cnots(circ).gates == circ.gates
 
 
 def test_simplify_cancels_adjacent_pair():
@@ -228,3 +240,6 @@ def test_circuit_validation():
         circ.cx(1, 1)
     with pytest.raises(ValueError):
         Gate("nope", (0,))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Gate("rz", (0,), bad)

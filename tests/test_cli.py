@@ -210,3 +210,75 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text(json.dumps({"frobnicate": 1}))
     with pytest.raises(SystemExit):
         main(["l1", "--config", str(cfg)])
+
+
+def test_config_grid_with_explicit_grid(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g_grid": "0.1:1:3:log"}))
+    out = tmp_path / "sweep.csv"
+    main(["gatecount", "--config", str(cfg), "--axis", "g", "--term", "magnetic", "--np", "2",
+          "--nq", "1", "--g-grid", "0.5:1:2:lin", "--out", str(out)])
+    _, header, rows = _read_csv(out)
+    assert [float(r[header.index("g")]) for r in rows] == [0.5, 1.0]
+
+
+def test_config_value_read_as_flag_text(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g": "0.5"}))
+    args = ["gatecount", "--axis", "theta", "--term", "cosine", "--nq", "3", "--theta-grid", "0"]
+    from_config, from_flag = tmp_path / "a.csv", tmp_path / "b.csv"
+    main(args + ["--config", str(cfg), "--out", str(from_config)])
+    main(args + ["--g", "0.5", "--out", str(from_flag)])
+    assert _read_csv(from_config)[1:] == _read_csv(from_flag)[1:]
+
+
+def test_config_workers_reach_the_sweep(tmp_path, monkeypatch):
+    import u1rotor.cli as cli
+
+    seen = []
+    pmap = cli._pmap
+
+    def spy(fn, items, workers):
+        seen.append(workers)
+        return pmap(fn, items, workers)
+
+    monkeypatch.setattr(cli, "_pmap", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    main(["gatecount", "--config", str(cfg), "--term", "cosine", "--nq", "2",
+          "--theta-grid", "0", "--out", str(tmp_path / "a.csv")])
+    main(["gatecount", "--config", str(cfg), "--workers", "1", "--term", "cosine", "--nq", "2",
+          "--theta-grid", "0", "--out", str(tmp_path / "b.csv")])
+    assert seen == [2, 1]
+
+
+@pytest.mark.parametrize("entry", [{"order": 3}, {"g": "abc"}, {"nq": "two"}])
+def test_config_values_checked_like_flags(tmp_path, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "a.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["gatecount", "--config", str(cfg), "--term", "magnetic", "--np", "2",
+              "--theta-grid", "0", "--out", str(out)])
+    assert exc.value.code != 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # a NaN cutoff used to drop every term and print 0 Rz / 0 CNOT
+    ["gatecount", "--term", "cosine", "--axis", "theta", "--nq", "4", "--g", "0.5",
+     "--theta-grid", "0,nan"],
+    # dt = 0.15 does not divide t = 0.2; one step used to run under a t = 0.2 header
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--t", "0.2",
+     "--dt-list", "0.15"],
+    # the single width is the compact reference, which left an empty table
+    ["spectrum", "--lattice", "2x2", "--nq", "2", "--formulation", "compact"],
+    # 24 qubits, above the term limit: a one-line message, not a traceback
+    ["gatecount", "--term", "maximal", "--axis", "np", "--np", "8", "--nq", "3"],
+])
+def test_bad_input_exits_without_table(tmp_path, argv):
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code not in (0, None)
+    assert not out.exists()

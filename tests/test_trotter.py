@@ -25,15 +25,17 @@ def test_theta_policy():
     assert u.ThetaPolicy("dt2", 2.0).resolve(0.1) == pytest.approx(0.02)
     with pytest.raises(ValueError):
         u.ThetaPolicy("weekly", 1.0)
-    with pytest.raises(ValueError):
-        u.ThetaPolicy("abs", -1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            u.ThetaPolicy("abs", bad)
 
 
 def test_plan_validation():
     with pytest.raises(ValueError):
         u.TrotterPlan(3, 0.1, 1)
-    with pytest.raises(ValueError):
-        u.TrotterPlan(1, -0.1, 1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            u.TrotterPlan(1, bad, 1)
     with pytest.raises(ValueError):
         u.TrotterPlan(1, 0.1, -1)
     assert u.TrotterPlan(1, 0.1, 0).t == 0.0

@@ -130,6 +130,23 @@ def test_embed():
         u.embed(u.WalshSeries(2, {3: 1.0}), [0, 5], 3)
 
 
+def test_embed_matches_bitwise_reference(rng):
+    # masks wider than one byte and registers wider than 64 qubits
+    for _ in range(30):
+        n = int(rng.integers(1, 21))
+        width = int(rng.integers(n, 130))
+        positions = [int(p) for p in rng.choice(width, size=n, replace=False)]
+        series = random_series(rng, n, density=min(1.0, 300 / (1 << n)))
+        expected = {}
+        for mask, coeff in series.terms.items():
+            new = 0
+            for i in range(n):
+                if (mask >> i) & 1:
+                    new |= 1 << positions[i]
+            expected[new] = coeff
+        assert list(u.embed(series, positions, width).terms.items()) == list(expected.items())
+
+
 def test_merge_union_and_cancellation():
     a = u.WalshSeries(3, {1: 0.5, 2: 0.25})
     b = u.WalshSeries(3, {4: 1.0})
@@ -169,8 +186,9 @@ def test_threshold_truncate():
     # boundary is inclusive: |a| == theta/2 survives
     kept, dropped = u.threshold_truncate(u.WalshSeries(1, {1: 0.5}), 1.0)
     assert kept.terms == {1: 0.5} and dropped == 0
-    with pytest.raises(ValueError):
-        u.threshold_truncate(series, -0.1)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            u.threshold_truncate(series, bad)
 
 
 def test_merge_before_truncate_property(rng):
