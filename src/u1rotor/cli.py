@@ -292,12 +292,12 @@ def _bare_cosine(n_p: int, g: float) -> CosineTerm:
 
 def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy, dt, order, formulation):
     """(rz, cnot) for one sweep point; `term` picks what gets synthesized."""
+    plan = TrotterPlan(order, dt, 1, theta, theta)  # checks dt for every term
     theta_res = theta.resolve(dt)
     use = weave if basis == "weaved" else None
     if term == "step":
         if lattice is None:
             raise SystemExit("step gate counts need --lattice")
-        plan = TrotterPlan(order, dt, 1, theta, theta)
         model = _model(lattice, n_q, g, formulation, basis, weave)
         counts = gate_count(step_circuit(model, plan))
         return counts["rz"], counts["cx"]
@@ -444,8 +444,13 @@ def cmd_evolve(args) -> int:
     mode = args.theta_min_policy or "dt"
 
     points = [(float(g), float(dt), float(kappa)) for g in gs for dt in dts for kappa in kappas]
-    steps = {dt: round(t / dt) for dt in dts}
-    for dt, n in steps.items():
+    if not 0 <= t < math.inf:
+        raise ValueError(f"total time must be non-negative and finite, got {t:g}")
+    steps = {}
+    for dt in dts:
+        if not 0 < dt < math.inf:
+            raise ValueError(f"step size must be positive and finite, got {dt:g}")
+        steps[dt] = n = round(t / dt)
         if abs(n * dt - t) > 1e-9 * abs(t):
             raise SystemExit(f"--t {t:g} is not a whole number of steps of size {dt:g}")
 

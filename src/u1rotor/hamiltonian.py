@@ -16,7 +16,6 @@ circuit evolution and dense evolution comparable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -342,16 +341,27 @@ def noncompact_mode_frequencies(lattice: LatticeSpec) -> np.ndarray:
 
 
 def noncompact_spectrum_oracle(lattice: LatticeSpec, count: int) -> np.ndarray:
-    """Lowest ``count`` exact eigenvalues sum_k w_k (m_k + 1/2), ascending."""
+    """Lowest ``count`` exact eigenvalues sum_k w_k (m_k + 1/2), ascending.
+
+    Occupation tuples grow one mode at a time, and a partial tuple whose
+    excitation sum_k m_k w_k already exceeds (count - 1) * min(w) is dropped:
+    the lowest mode's own ladder puts ``count`` levels at or below that.
+    """
     omega = noncompact_mode_frequencies(lattice)
-    k = omega.shape[0]
-    if (count + 1) ** k > 4_000_000:
-        raise ResourceLimitError(f"oracle enumeration too large: {(count + 1) ** k} states")
-    energies = [
-        float(omega @ (np.array(ms) + 0.5))
-        for ms in itertools.product(range(count + 1), repeat=k)
-    ]
-    energies.sort()
+    # the slack keeps tuples that tie the bound up to rounding
+    bound = (count - 1) * float(omega.min()) * (1.0 + 1e-12)
+    partial = [((), 0.0)]
+    for w in omega:
+        grown = []
+        for ms, excitation in partial:
+            m = 0
+            while excitation + m * w <= bound:
+                grown.append((ms + (m,), excitation + m * w))
+                m += 1
+        partial = grown
+        if len(partial) > 4_000_000:
+            raise ResourceLimitError(f"oracle enumeration too large: {len(partial)} states")
+    energies = sorted(float(omega @ (np.array(ms) + 0.5)) for ms, _ in partial)
     return np.array(energies[:count])
 
 

@@ -129,8 +129,11 @@ def save_weave(weave: WeaveMatrix, path) -> None:
 
 def b_max_noncompact(g: float, n_q: int, beta_r: float = 1.0, beta_b: float = 1.0) -> float:
     """Optimal half-width for an unbounded quadratic field at coupling g."""
-    if g <= 0 or beta_r <= 0 or beta_b <= 0:
-        raise ValueError("coupling and harmonic-matching constants must be positive")
+    if not all(0 < v < math.inf for v in (g, beta_r, beta_b)):
+        raise ValueError(
+            "coupling and harmonic-matching constants must be positive and finite, "
+            f"got g={g}, beta_r={beta_r}, beta_b={beta_b}"
+        )
     big_n = 1 << n_q
     return g * (big_n / 2.0) * math.sqrt(beta_r / beta_b) * math.sqrt(math.sqrt(8.0) * math.pi / big_n)
 
@@ -175,9 +178,11 @@ class Digitization:
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.basis not in ("original", "weaved"):
             raise ValueError(f"unknown basis {self.basis!r}")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"coupling must be positive and finite, got {self.g}")
         b = np.asarray(self.b_max, dtype=float)
-        if np.any(b <= 0):
-            raise ValueError("b_max must be positive")
+        if not np.all((b > 0) & np.isfinite(b)):
+            raise ValueError("b_max must be positive and finite")
         if self.formulation == "compact" and self.basis == "original":
             if np.any(b > math.pi + 1e-12):
                 raise ValueError("original compact grids cannot exceed pi")

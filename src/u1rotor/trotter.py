@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuits import Circuit, qft_circuit, sequency_gate_counts, truncated_circuit
+from .circuits import Circuit, exact_circuit, qft_circuit, sequency_gate_counts
 from .hamiltonian import (
     CosineTerm,
     DENSE_LIMIT_QUBITS,
@@ -109,6 +109,28 @@ def factor_series(model: HamiltonianModel, plan: TrotterPlan):
     return series_e, series_b
 
 
+def _truncate_factor(series: WalshSeries, theta: float) -> tuple[WalshSeries, int]:
+    """Threshold-truncate every nonzero mask; mask 0, the global phase, always stays."""
+    kept, dropped = threshold_truncate(series, theta)
+    phase = series.coefficient(0)
+    if kept.coefficient(0) == phase:
+        return kept, dropped
+    return WalshSeries(series.n, {0: phase, **kept.terms}), dropped - 1
+
+
+def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
+    """(electric, magnetic) step-factor series kept at the plan's resolved cutoffs.
+
+    This is the one truncation decision behind both `step_circuit` and the
+    fused-phase evolution of `simulator.loschmidt`: each factor is exactly
+    exp(i * state_values(kept)), its mask-0 coefficient included.
+    """
+    series_e, series_b = factor_series(model, plan)
+    kept_e, _ = _truncate_factor(series_e, plan.theta_e.resolve(plan.dt))
+    kept_b, _ = _truncate_factor(series_b, plan.theta_b.resolve(plan.dt))
+    return kept_e, kept_b
+
+
 def _fourier_blocks(model: HamiltonianModel) -> Circuit:
     """Per-plaquette Fourier circuit over the full register."""
     n_q = model.digitization.n_q
@@ -127,20 +149,18 @@ def step_circuit(model: HamiltonianModel, plan: TrotterPlan) -> Circuit:
     diagonal: the register is rotated to the rotor basis, phased, and rotated
     back.
     """
-    series_e, series_b = factor_series(model, plan)
-    theta_e = plan.theta_e.resolve(plan.dt)
-    theta_b = plan.theta_b.resolve(plan.dt)
+    kept_e, kept_b = truncated_factor_series(model, plan)
     ft = _fourier_blocks(model)
     ft_inv = ft.dagger()
 
     def electric_factor() -> Circuit:
         out = Circuit(model.n_qubits)
         out.extend(ft_inv)
-        out.extend(truncated_circuit(series_e, theta_e))
+        out.extend(exact_circuit(kept_e))
         out.extend(ft)
         return out
 
-    magnetic = truncated_circuit(series_b, theta_b)
+    magnetic = exact_circuit(kept_b)
     circ = Circuit(model.n_qubits)
     if plan.order == 1:
         circ.extend(magnetic)
@@ -165,9 +185,7 @@ class ErrorBudget:
 
 
 def _drop_count(series: WalshSeries, theta: float) -> int:
-    body = WalshSeries(series.n, {m: c for m, c in series.terms.items() if m != 0})
-    _, dropped = threshold_truncate(body, theta)
-    return dropped
+    return _truncate_factor(series, theta)[1]
 
 
 def error_bound(

@@ -275,6 +275,15 @@ def test_config_values_checked_like_flags(tmp_path, entry):
     ["spectrum", "--lattice", "2x2", "--nq", "2", "--formulation", "compact"],
     # 24 qubits, above the term limit: a one-line message, not a traceback
     ["gatecount", "--term", "maximal", "--axis", "np", "--np", "8", "--nq", "3"],
+    # a NaN coupling made every coefficient NaN, so every term was pruned
+    ["gatecount", "--term", "cosine", "--axis", "theta", "--nq", "2", "--g", "nan",
+     "--theta-grid", "0"],
+    # a NaN step scaled the series by NaN outside any TrotterPlan
+    ["gatecount", "--term", "magnetic", "--axis", "theta", "--np", "2", "--nq", "2",
+     "--dt", "nan", "--theta-grid", "0"],
+    # a zero step died in t / dt with a ZeroDivisionError traceback
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--t", "0.2",
+     "--dt-list", "0"],
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
     out = tmp_path / "table.csv"

@@ -198,6 +198,31 @@ def test_oracle_lowest_values_frozen():
     assert np.abs(got - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape, count", [
+    ((2, 2), 4), ((2, 2), 10), ((2, 3), 4), ((2, 3), 10), ((3, 3), 4),
+])
+def test_oracle_matches_full_enumeration(shape, count):
+    # the pruned search against every occupation tuple in range(count + 1)^k
+    lat = u.LatticeSpec(*shape)
+    omega = u.noncompact_mode_frequencies(lat)
+    ms = np.indices((count + 1,) * omega.size).reshape(omega.size, -1).T
+    brute = np.sort((ms + 0.5) @ omega)[:count]
+    got = u.noncompact_spectrum_oracle(lat, count)
+    assert got.shape == (count,)
+    assert np.abs(got - brute).max() <= 1e-12 * brute.max()
+
+
+def test_oracle_beyond_full_enumeration():
+    # 3x3 at 10 levels is 11^8 tuples, past the enumeration guard; the
+    # pruned search reaches it, and its ground level is sum w / 2
+    lat = u.LatticeSpec(3, 3)
+    got = u.noncompact_spectrum_oracle(lat, 10)
+    omega = u.noncompact_mode_frequencies(lat)
+    assert got[0] == pytest.approx(omega.sum() / 2, rel=1e-14)
+    assert np.all(np.diff(got) >= 0)
+    assert got[1] == pytest.approx(omega.sum() / 2 + omega.min(), rel=1e-14)
+
+
 def test_oracle_is_g_independent_interface():
     # the oracle takes no coupling at all; digitized spectra agree across g
     lat = u.LatticeSpec(2, 2)

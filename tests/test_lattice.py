@@ -37,6 +37,12 @@ def test_b_max_noncompact_scalings():
         u.b_max_noncompact(-1.0, 2)
     with pytest.raises(ValueError):
         u.b_max_noncompact(1.0, 2, beta_r=0.0)
+    # NaN compares False with everything, so `g <= 0` alone let it through
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            u.b_max_noncompact(bad, 2)
+        with pytest.raises(ValueError, match="finite"):
+            u.digitize(2, 2, bad, "compact")
 
 
 def test_b_max_compact_clamps():
@@ -152,6 +158,9 @@ def test_digitize_validation():
     assert np.allclose(d.b_max, [SQRT3 * math.pi, SQRT6 * math.pi, SQRT2 * math.pi])
     with pytest.raises(ValueError, match="pi"):
         u.Digitization(2, 1.0, np.array([4.0]), "compact", "original")
+    for g, b in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            u.Digitization(2, g, np.array([b]), "non-compact", "original")
 
 
 def test_embed_positions_layout():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import u1rotor as u
 
@@ -218,3 +219,51 @@ def test_loschmidt_invariant_under_global_phase():
     for _ in range(plan.steps):
         psi = u.apply(step, psi)
     assert abs(np.vdot(psi0, psi)) ** 2 == pytest.approx(base, abs=1e-12)
+
+
+def _gate_level_survival(model, plan):
+    """The reference: the step circuit applied gate by gate."""
+    psi0 = u.electric_ground_state(model)
+    psi = psi0
+    step = u.step_circuit(model, plan)
+    for _ in range(plan.steps):
+        psi = u.apply(step, psi)
+    return abs(np.vdot(psi0, psi)) ** 2
+
+
+@st.composite
+def _small_runs(draw):
+    n_x, n_y = draw(st.sampled_from([(2, 2), (2, 3)]))
+    lat = u.LatticeSpec(n_x, n_y)
+    n_q = draw(st.integers(1, 3 if lat.n_p == 3 else 2))  # at most 10 qubits
+    basis = draw(st.sampled_from(["original", "weaved"]))
+    weave = None
+    if basis == "weaved":
+        seed = draw(st.integers(0, 2**32 - 1))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(lat.n_p, lat.n_p)))
+        weave = u.weave_from_matrix(q)
+    formulation = draw(st.sampled_from(["compact", "non-compact"]))
+    g = draw(st.floats(0.2, 3.0))
+    model = u.build_model(lat, u.digitize(lat.n_p, n_q, g, formulation, basis, weave), weave)
+    policy = u.ThetaPolicy(
+        draw(st.sampled_from(["abs", "dt"])),
+        draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+    )
+    plan = u.TrotterPlan(
+        draw(st.sampled_from([1, 2])), draw(st.floats(0.01, 0.5)), draw(st.integers(0, 3)),
+        policy, policy,
+    )
+    return model, plan
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_runs())
+def test_loschmidt_matches_gate_level_oracle(run):
+    model, plan = run
+    assert abs(u.loschmidt(model, plan) - _gate_level_survival(model, plan)) <= 1e-12
+
+
+def test_loschmidt_state_limit():
+    model = _model(n_q=3, lat=u.LatticeSpec(3, 3))  # 24 qubits
+    with pytest.raises(u.ResourceLimitError, match=f"{16 << 24} B"):
+        u.loschmidt(model, u.TrotterPlan(1, 0.1, 1))

@@ -160,3 +160,30 @@ def test_merged_series_before_truncation_in_step():
     _, series_b = factor_series(model, plan)
     _, b_diag = u.dense_diagonals(model)
     assert np.abs(state_values(series_b) - (-plan.dt) * b_diag).max() < 1e-9
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.05, 10.0])
+def test_truncated_factors_keep_the_global_phase(kappa):
+    # mask 0 survives any cutoff; every other kept mask clears it, and the
+    # step circuit is the per-factor `truncated_circuit` assembly
+    model = _model()
+    policy = u.ThetaPolicy("abs", kappa)
+    plan = u.TrotterPlan(2, 0.3, 1, policy, policy)
+    full = factor_series(model, plan)
+    kept = u.truncated_factor_series(model, plan)
+    for series, trunc in zip(full, kept):
+        assert trunc.coefficient(0) == series.coefficient(0) != 0.0
+        assert {m for m in trunc.terms if m} == {
+            m for m, c in series.terms.items() if m and abs(c) >= kappa / 2}
+    ft = u.Circuit(model.n_qubits)
+    for p in range(model.n_p):
+        ft.extend(u.qft_circuit(2).shifted(2 * p, model.n_qubits))
+    electric = u.Circuit(model.n_qubits)
+    for part in (ft.dagger(), u.truncated_circuit(full[0], kappa), ft):
+        electric.extend(part)
+    expected = u.Circuit(model.n_qubits)
+    for part in (electric, u.truncated_circuit(full[1], kappa), electric):
+        expected.extend(part)
+    step = u.step_circuit(model, plan)
+    assert step.gates == expected.gates
+    assert step.global_phase == expected.global_phase
