@@ -10,7 +10,10 @@ Subcommands
     export           one Trotter step as OpenQASM 2.0
 
 Every run is deterministic; tables carry the resolved configuration in their
-header so outputs are reproducible byte for byte.  Values may come from a
+header so outputs are reproducible byte for byte.  Tables built on dense
+eigensolvers (spectrum, plaquette) are byte-reproducible only at a fixed BLAS
+thread count (e.g. OPENBLAS_NUM_THREADS=1): the thread count changes the
+eigensolver's rounding.  Values may come from a
 JSON config file (--config) keyed by flag name; its values are read as flag
 text (lists joined by commas) and explicit command-line flags win.
 """
@@ -75,6 +78,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError(f"expected start:stop:count[:log|lin], got {text!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has no points")
     mode = parts[3] if len(parts) == 4 else "log"
     if mode == "log":
         return np.geomspace(start, stop, count)
@@ -87,6 +92,8 @@ def _parse_ints(text: str) -> list[int]:
     """Comma list ("2,3,4") or inclusive range ("2:6")."""
     if ":" in text:
         lo, hi = (int(v) for v in text.split(":"))
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"range {text!r} is empty")
         return list(range(lo, hi + 1))
     return [int(v) for v in text.split(",")]
 
@@ -571,6 +578,8 @@ def _config_argv(path, args: argparse.Namespace) -> list[str]:
     """A JSON config as flag tokens: true sets a switch, null and false are skipped."""
     with open(path) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} is not a JSON object")
     tokens = []
     for key, value in config.items():
         if not hasattr(args, key.replace("-", "_")):
@@ -589,13 +598,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        # config flags go right after the subcommand, so explicit flags, parsed later, win
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + _config_argv(args.config, args) + argv[at:])
     try:
+        if args.config:
+            # config flags go right after the subcommand, so explicit flags, parsed later, win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(args.config, args) + argv[at:])
         return args.func(args)
-    except (ValueError, ResourceLimitError) as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:
         raise SystemExit(f"u1rotor {args.command}: {exc}") from exc
 
 

@@ -7,15 +7,18 @@ either ``B^2/2`` bilinears (non-compact) or ``n_p + 1`` cosines (compact):
 one per independent plaquette plus the maximally coupled constraint row.
 All additive constants are dropped.
 
-Dense matrices live in the magnetic basis.  The electric part is rotated
-in with the per-plaquette discrete Fourier transform ``F[l, m] =
-w^{lm} / sqrt(N)``, pairing magnetic grid index ``l`` with rotor grid index
-``m``; `circuits.qft_circuit` realizes the same matrix, which is what makes
-circuit evolution and dense evolution comparable.
+Dense matrices live in the magnetic basis, H = F diag(e) F^dagger + diag(b).
+The diagonals ``e`` (rotor basis) and ``b`` (field basis) sum
+`diagonal_of_term` over the model's terms, and `fourier_conjugate` applies
+the per-plaquette discrete Fourier transform ``F[l, m] = w^{lm} / sqrt(N)``,
+pairing magnetic grid index ``l`` with rotor grid index ``m``;
+`circuits.qft_circuit` realizes the same matrix, which is what makes circuit
+evolution and dense evolution comparable.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -36,6 +39,7 @@ DENSE_LIMIT_QUBITS = 14  # full matrices / diagonalization
 TERM_LIMIT_QUBITS = 22  # per-term and full-register diagonals
 
 _COUPLING_TOL = 1e-12
+_COLUMN_BLOCK = 256  # basis columns per FFT batch in `dense_electric`
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class BilinearTerm:
             raise ValueError("non-finite coefficient")
 
     @property
-    def support(self) -> tuple[int, ...]:
+    def plaquettes(self) -> tuple[int, ...]:
         return (self.i,) if self.i == self.j else (self.i, self.j)
 
 
@@ -180,25 +184,17 @@ def diagonal_of_term(term, d: Digitization, limit: int = TERM_LIMIT_QUBITS) -> D
     The first support plaquette is the most significant digit of the joint
     sample index; grids are read per plaquette from the digitization.
     """
-    if isinstance(term, CosineTerm):
-        support = term.plaquettes
-    else:
-        support = term.support
+    support = term.plaquettes
     s = len(support)
     n = s * d.n_q
     if n > limit:
         raise ResourceLimitError(
             f"term spans {n} qubits, above the dense diagonal limit of {limit}"
         )
-    big_n = d.n_states
-
-    def axis_shape(b):
-        return (1,) * b + (big_n,) + (1,) * (s - 1 - b)
-
     if isinstance(term, CosineTerm):
-        arg = np.zeros((big_n,) * s)
-        for b, (p, c) in enumerate(term.support):
-            arg = arg + c * b_grid(d, p).values.reshape(axis_shape(b))
+        arg = 0.0
+        for p, c in term.support:
+            arg = np.add.outer(arg, c * b_grid(d, p).values)
         values = (term.prefactor / d.g**2) * np.cos(arg)
         return DiagonalValues(n, values.ravel())
 
@@ -215,16 +211,20 @@ def diagonal_of_term(term, d: Digitization, limit: int = TERM_LIMIT_QUBITS) -> D
     return DiagonalValues(n, values.ravel())
 
 
-def _register_grid_values(model: HamiltonianModel, grid_fn) -> list[np.ndarray]:
-    """Per-plaquette grid values expanded over the full register (state order)."""
-    d = model.digitization
-    dim = 1 << model.n_qubits
-    idx = np.arange(dim)
-    out = []
-    for p in range(model.n_p):
-        l_p = (idx >> (p * d.n_q)) & (d.n_states - 1)
-        out.append(grid_fn(d, p).values[l_p])
-    return out
+def _register_sum(terms, d: Digitization) -> np.ndarray:
+    """Sum of the terms' diagonals on the ``(N,)*n_p`` register tensor.
+
+    Axis k holds plaquette n_p - 1 - k, so the raveled tensor is in state
+    order (plaquette 0 on the lowest qubits).
+    """
+    big_n = d.n_states
+    total = np.zeros((big_n,) * d.n_p)
+    for term in terms:
+        axes = [d.n_p - 1 - p for p in term.plaquettes]
+        block = diagonal_of_term(term, d).values.reshape((big_n,) * len(axes))
+        shape = [big_n if a in axes else 1 for a in range(d.n_p)]
+        total += block.transpose(np.argsort(axes)).reshape(shape)
+    return total
 
 
 def dense_diagonals(model: HamiltonianModel, limit: int = TERM_LIMIT_QUBITS):
@@ -234,34 +234,7 @@ def dense_diagonals(model: HamiltonianModel, limit: int = TERM_LIMIT_QUBITS):
             f"register spans {model.n_qubits} qubits, above the diagonal limit of {limit}"
         )
     d = model.digitization
-    rv = _register_grid_values(model, r_grid)
-    bv = _register_grid_values(model, b_grid)
-    dim = 1 << model.n_qubits
-
-    q_e = electric_quadratic_form(model.lattice, model.weave)
-    e_diag = np.zeros(dim)
-    for i in range(model.n_p):
-        e_diag += 0.5 * d.g**2 * q_e[i, i] * rv[i] ** 2
-        for j in range(i + 1, model.n_p):
-            if abs(q_e[i, j]) > _COUPLING_TOL:
-                e_diag += d.g**2 * q_e[i, j] * rv[i] * rv[j]
-
-    b_diag = np.zeros(dim)
-    if d.formulation == "compact":
-        for row in cosine_rows(model.n_p, model.weave):
-            arg = np.zeros(dim)
-            for i in range(model.n_p):
-                if abs(row[i]) > _COUPLING_TOL:
-                    arg += row[i] * bv[i]
-            b_diag += -np.cos(arg) / d.g**2
-    else:
-        q_b = magnetic_quadratic_form(model.n_p, model.weave)
-        for i in range(model.n_p):
-            b_diag += 0.5 / d.g**2 * q_b[i, i] * bv[i] ** 2
-            for j in range(i + 1, model.n_p):
-                if abs(q_b[i, j]) > _COUPLING_TOL:
-                    b_diag += q_b[i, j] / d.g**2 * bv[i] * bv[j]
-    return e_diag, b_diag
+    return _register_sum(model.electric, d).ravel(), _register_sum(model.magnetic, d).ravel()
 
 
 def ft_matrix(n_q: int) -> np.ndarray:
@@ -271,43 +244,36 @@ def ft_matrix(n_q: int) -> np.ndarray:
     return np.exp(2j * np.pi / big_n * lm) / math.sqrt(big_n)
 
 
-def _kron_chain(blocks: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product with blocks[0] least significant (plaquette 0 lowest qubits)."""
-    out = blocks[-1]
-    for b in reversed(blocks[:-1]):
-        out = np.kron(out, b)
-    return out
+def fourier_conjugate(diagonal: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """F diag(diagonal) F^dagger applied to ``states``.
+
+    ``diagonal`` is a register tensor of shape ``(N,)*n_p``; ``states`` ends
+    in the same axes, after any leading batch axes.  F^dagger is the
+    orthonormal `fftn` over those axes and F its inverse.
+    """
+    axes = tuple(range(-diagonal.ndim, 0))
+    return np.fft.ifftn(
+        diagonal * np.fft.fftn(states, axes=axes, norm="ortho"), axes=axes, norm="ortho"
+    )
 
 
 def dense_electric(model: HamiltonianModel, limit: int = DENSE_LIMIT_QUBITS) -> np.ndarray:
-    """Electric Hamiltonian rotated to the magnetic basis, as a dense matrix."""
+    """Electric Hamiltonian F diag(e) F^dagger in the magnetic basis, as a dense matrix.
+
+    Columns are transformed `_COLUMN_BLOCK` at a time into the preallocated
+    matrix, which bounds the transform's scratch memory.
+    """
     if model.n_qubits > limit:
         raise ResourceLimitError(
             f"register spans {model.n_qubits} qubits, above the dense limit of {limit}"
         )
-    d = model.digitization
-    f = ft_matrix(d.n_q)
-    big_n = d.n_states
-    eye = np.eye(big_n)
-    rot = []  # per-plaquette rotor operator in the magnetic basis
-    rot_sq = []
-    for p in range(model.n_p):
-        r = r_grid(d, p).values
-        rot.append((f * r[None, :]) @ f.conj().T)
-        rot_sq.append((f * (r**2)[None, :]) @ f.conj().T)
-    q_e = electric_quadratic_form(model.lattice, model.weave)
-    dim = 1 << model.n_qubits
-    h_e = np.zeros((dim, dim), dtype=complex)
-    for i in range(model.n_p):
-        blocks = [eye] * model.n_p
-        blocks[i] = rot_sq[i]
-        h_e += 0.5 * d.g**2 * q_e[i, i] * _kron_chain(blocks)
-        for j in range(i + 1, model.n_p):
-            if abs(q_e[i, j]) > _COUPLING_TOL:
-                blocks = [eye] * model.n_p
-                blocks[i] = rot[i]
-                blocks[j] = rot[j]
-                h_e += d.g**2 * q_e[i, j] * _kron_chain(blocks)
+    e = _register_sum(model.electric, model.digitization)
+    dim = e.size
+    h_e = np.empty((dim, dim), dtype=complex)
+    for start in range(0, dim, _COLUMN_BLOCK):
+        count = min(_COLUMN_BLOCK, dim - start)
+        basis = np.eye(count, dim, start, dtype=complex).reshape((count,) + e.shape)
+        h_e[:, start:start + count] = fourier_conjugate(e, basis).reshape(count, dim).T
     return h_e
 
 
@@ -343,26 +309,28 @@ def noncompact_mode_frequencies(lattice: LatticeSpec) -> np.ndarray:
 def noncompact_spectrum_oracle(lattice: LatticeSpec, count: int) -> np.ndarray:
     """Lowest ``count`` exact eigenvalues sum_k w_k (m_k + 1/2), ascending.
 
-    Occupation tuples grow one mode at a time, and a partial tuple whose
-    excitation sum_k m_k w_k already exceeds (count - 1) * min(w) is dropped:
-    the lowest mode's own ladder puts ``count`` levels at or below that.
+    A best-first search pops occupation tuples in order of energy.  A popped
+    tuple's successors raise one mode k, at or after the mode its own parent
+    raised, by one quantum, so every tuple has exactly one parent and the
+    heap never holds more than 1 + count * modes tuples.
     """
     omega = noncompact_mode_frequencies(lattice)
-    # the slack keeps tuples that tie the bound up to rounding
-    bound = (count - 1) * float(omega.min()) * (1.0 + 1e-12)
-    partial = [((), 0.0)]
-    for w in omega:
-        grown = []
-        for ms, excitation in partial:
-            m = 0
-            while excitation + m * w <= bound:
-                grown.append((ms + (m,), excitation + m * w))
-                m += 1
-        partial = grown
-        if len(partial) > 4_000_000:
-            raise ResourceLimitError(f"oracle enumeration too large: {len(partial)} states")
-    energies = sorted(float(omega @ (np.array(ms) + 0.5)) for ms, _ in partial)
-    return np.array(energies[:count])
+    if count * omega.size > 4_000_000:
+        raise ResourceLimitError(
+            f"oracle search too large: {count} levels over {omega.size} modes"
+        )
+
+    def entry(ms, last):
+        return float(omega @ (np.array(ms) + 0.5)), ms, last
+
+    heap = [entry((0,) * omega.size, 0)]
+    energies = []
+    while len(energies) < count:
+        energy, ms, last = heapq.heappop(heap)
+        energies.append(energy)
+        for k in range(last, omega.size):
+            heapq.heappush(heap, entry(ms[:k] + (ms[k] + 1,) + ms[k + 1:], k))
+    return np.array(energies)
 
 
 def ground_state(model: HamiltonianModel, limit: int = DENSE_LIMIT_QUBITS):

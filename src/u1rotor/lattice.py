@@ -114,6 +114,9 @@ def load_weave(path) -> WeaveMatrix:
     """Read a weave from JSON: {"n_p": int, "rows": [[...], ...]} (row-major)."""
     with open(path) as fh:
         data = json.load(fh)
+    for key in ("rows", "n_p"):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"weave file {path} has no {key!r} entry")
     rows = np.asarray(data["rows"], dtype=float)
     n_p = int(data["n_p"])
     if rows.shape != (n_p, n_p):

@@ -24,6 +24,7 @@ from .hamiltonian import (
     TERM_LIMIT_QUBITS,
     HamiltonianModel,
     dense_matrix,
+    fourier_conjugate,
     ft_matrix,
 )
 from .lattice import ResourceLimitError, r_grid
@@ -108,9 +109,10 @@ def loschmidt(model: HamiltonianModel, plan: TrotterPlan) -> float:
 
     U is the unitary of `step_circuit(model, plan)`, evaluated without
     gates: the magnetic factor multiplies the state by exp(i * b), the
-    electric factor by F exp(i * e) F^dagger, with b and e the state values
-    of `truncated_factor_series` and F the per-plaquette Fourier transform
-    F[l, m] = w^{lm} / sqrt(N) (so F^dagger is an orthonormal `fftn`).
+    electric factor by F exp(i * e) F^dagger (`fourier_conjugate`, the
+    operator dense Hamiltonians are built with), with b and e the state
+    values of `truncated_factor_series` and F the per-plaquette Fourier
+    transform F[l, m] = w^{lm} / sqrt(N).
     Mask-0 coefficients stay in the phases as the circuit's global phase.
     Applying `step_circuit` gate by gate with `apply` is the reference.
     """
@@ -127,16 +129,12 @@ def loschmidt(model: HamiltonianModel, plan: TrotterPlan) -> float:
     shape = (model.digitization.n_states,) * model.n_p
     phase_e = np.exp(1j * state_values(kept_e)).reshape(shape)
     phase_b = np.exp(1j * state_values(kept_b)).reshape(shape)
-
-    def electric(psi):
-        return np.fft.ifftn(phase_e * np.fft.fftn(psi, norm="ortho"), norm="ortho")
-
     psi = psi0.reshape(shape)
     for _ in range(plan.steps):
         if plan.order == 1:
-            psi = electric(phase_b * psi)
+            psi = fourier_conjugate(phase_e, phase_b * psi)
         else:
-            psi = electric(phase_b * electric(psi))
+            psi = fourier_conjugate(phase_e, phase_b * fourier_conjugate(phase_e, psi))
     return float(abs(np.vdot(psi0, psi.ravel())) ** 2)
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .circuits import Circuit, exact_circuit, qft_circuit, sequency_gate_counts
 from .hamiltonian import (
-    CosineTerm,
     DENSE_LIMIT_QUBITS,
     HamiltonianModel,
     TERM_LIMIT_QUBITS,
@@ -90,8 +89,7 @@ def hamiltonian_series(
     for term in terms:
         diag = diagonal_of_term(term, d, limit)
         local = fwt(DiagonalValues(diag.n, scale * diag.values))
-        support = term.plaquettes if isinstance(term, CosineTerm) else term.support
-        parts.append(embed(local, embed_positions(support, d.n_q), width))
+        parts.append(embed(local, embed_positions(term.plaquettes, d.n_q), width))
     if not parts:
         return WalshSeries(width, {})
     return merge(parts)

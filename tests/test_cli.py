@@ -284,8 +284,24 @@ def test_config_values_checked_like_flags(tmp_path, entry):
     # a zero step died in t / dt with a ZeroDivisionError traceback
     ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--t", "0.2",
      "--dt-list", "0"],
+    # empty ranges and grids used to fall back to defaults or write header-only tables
+    ["gatecount", "--axis", "nq", "--term", "cosine", "--nq", "5:2"],
+    ["gatecount", "--axis", "np", "--np", "4:2"],
+    ["l1", "--nq", "3:2"],
+    ["spectrum", "--lattice", "2x2", "--nq", "3:2"],
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "0.5:1:0"],
+    # unreadable config and weave files used to end in a traceback
+    ["l1", "--config", "{tmp}/missing.json"],
+    ["l1", "--config", "{tmp}/malformed.json"],
+    ["l1", "--config", "{tmp}/list.json"],
+    ["plaquette", "--lattice", "2x2", "--nq", "2", "--weave", "{tmp}/missing.json"],
+    ["plaquette", "--lattice", "2x2", "--nq", "2", "--weave", "{tmp}/empty.json"],
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
+    (tmp_path / "malformed.json").write_text('{"nq": ')
+    (tmp_path / "list.json").write_text("[2, 3]")
+    (tmp_path / "empty.json").write_text("{}")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     out = tmp_path / "table.csv"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])

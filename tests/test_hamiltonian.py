@@ -20,7 +20,7 @@ def test_electric_quadratic_form_2x2():
 def test_electric_terms_2x2():
     terms = u.electric_terms(u.LatticeSpec(2, 2))
     assert len(terms) <= 9
-    assert all(len(t.support) <= 2 for t in terms)
+    assert all(len(t.plaquettes) <= 2 for t in terms)
     assert all(t.kind == "RR" for t in terms)
     squares = {t.i: t.coefficient for t in terms if t.i == t.j}
     crosses = {(t.i, t.j): t.coefficient for t in terms if t.i != t.j}
@@ -121,13 +121,30 @@ def test_dense_matrix_hermitian_and_limits():
 
 
 def test_dense_matrix_matches_fourier_route():
-    for formulation in ("compact", "non-compact"):
-        model = _model(n_q=2, formulation=formulation)
-        e_diag, b_diag = u.dense_diagonals(model)
-        f1 = u.ft_matrix(2)
-        f = np.kron(np.kron(f1, f1), f1)
+    # the reference shares no code with dense_matrix: Walsh-route diagonals and
+    # a full Kronecker product of per-plaquette DFT matrices
+    from u1rotor.walsh import state_values
+
+    q5, _ = np.linalg.qr(np.random.default_rng(20230817).normal(size=(5, 5)))
+    cases = [
+        ((2, 2), "compact", None),
+        ((2, 2), "non-compact", None),
+        ((2, 2), "compact", u.builtin_weave(3)),
+        ((2, 3), "compact", None),
+        ((2, 3), "non-compact", u.weave_from_matrix(q5)),
+    ]
+    for shape, formulation, weave in cases:
+        lat = u.LatticeSpec(*shape)
+        basis = "original" if weave is None else "weaved"
+        model = _model(n_q=2, formulation=formulation, basis=basis, weave=weave, lat=lat)
+        e_diag = state_values(u.hamiltonian_series(model.electric, model.digitization, 1.0))
+        b_diag = state_values(u.hamiltonian_series(model.magnetic, model.digitization, 1.0))
+        f = np.ones((1, 1))
+        for _ in range(lat.n_p):
+            f = np.kron(f, u.ft_matrix(2))
         reference = (f * e_diag[None, :]) @ f.conj().T + np.diag(b_diag)
-        assert np.abs(u.dense_matrix(model) - reference).max() < 1e-10
+        h = u.dense_matrix(model)
+        assert np.abs(h - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_dense_diagonals_match_term_sums():
@@ -213,14 +230,20 @@ def test_oracle_matches_full_enumeration(shape, count):
 
 
 def test_oracle_beyond_full_enumeration():
-    # 3x3 at 10 levels is 11^8 tuples, past the enumeration guard; the
-    # pruned search reaches it, and its ground level is sum w / 2
-    lat = u.LatticeSpec(3, 3)
-    got = u.noncompact_spectrum_oracle(lat, 10)
-    omega = u.noncompact_mode_frequencies(lat)
-    assert got[0] == pytest.approx(omega.sum() / 2, rel=1e-14)
-    assert np.all(np.diff(got) >= 0)
-    assert got[1] == pytest.approx(omega.sum() / 2 + omega.min(), rel=1e-14)
+    # 3x3 at 10 levels is 11^8 tuples and 4x4 at 20 levels 21^15, far past
+    # any enumeration; the best-first search reaches them, its ground level is
+    # sum w / 2 and its first excitation adds the lowest mode
+    for shape, count in (((3, 3), 10), ((3, 4), 20), ((4, 4), 20)):
+        lat = u.LatticeSpec(*shape)
+        got = u.noncompact_spectrum_oracle(lat, count)
+        omega = u.noncompact_mode_frequencies(lat)
+        assert got.shape == (count,)
+        assert got[0] == pytest.approx(omega.sum() / 2, rel=1e-14)
+        assert np.all(np.diff(got) >= 0)
+        assert got[1] == pytest.approx(omega.sum() / 2 + omega.min(), rel=1e-14)
+    # the size guard is checked before the search starts
+    with pytest.raises(u.ResourceLimitError, match="too large"):
+        u.noncompact_spectrum_oracle(u.LatticeSpec(2, 2), 2_000_000)
 
 
 def test_oracle_is_g_independent_interface():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import u1rotor as u
 
@@ -145,6 +146,47 @@ def test_embed_matches_bitwise_reference(rng):
                     new |= 1 << positions[i]
             expected[new] = coeff
         assert list(u.embed(series, positions, width).terms.items()) == list(expected.items())
+
+
+@st.composite
+def _sparse_series(draw, n):
+    magnitude = st.floats(1e-6, 1.0)
+    coeff = st.builds(lambda m, sign: m * sign, magnitude, st.sampled_from([-1.0, 1.0]))
+    return u.WalshSeries(n, draw(st.dictionaries(st.integers(0, (1 << n) - 1), coeff,
+                                                 max_size=40)))
+
+
+@st.composite
+def _series_pair(draw):
+    n = draw(st.integers(1, 10))
+    return draw(_sparse_series(n)), draw(_sparse_series(n))
+
+
+@st.composite
+def _embedding(draw):
+    series = draw(_sparse_series(draw(st.integers(1, 10))))
+    width = draw(st.integers(series.n, 12))
+    positions = draw(st.permutations(range(width)))[: series.n]
+    return series, positions, width
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_series_pair())
+def test_merge_adds_state_values(pair):
+    a, b = pair
+    expected = u.state_values(a) + u.state_values(b)
+    assert np.abs(u.state_values(u.merge([a, b])) - expected).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_embedding())
+def test_embed_commutes_with_state_values(case):
+    # register state x reads the local state whose bit i is bit positions[i] of x
+    series, positions, width = case
+    states = np.arange(1 << width)
+    local = sum(((states >> p) & 1) << i for i, p in enumerate(positions))
+    got = u.state_values(u.embed(series, positions, width))
+    assert np.abs(got - u.state_values(series)[local]).max() <= 1e-12
 
 
 def test_merge_union_and_cancellation():
