@@ -21,9 +21,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .walsh import WalshSeries, gray_rank, threshold_truncate
+from .walsh import WalshSeries, sequency_order, threshold_truncate
 
-GATE_NAMES = ("rz", "cx", "h", "cu1", "swap")
+# gate kind -> (qubit count, takes an angle)
+GATE_FORMS = {"rz": (1, True), "cx": (2, False), "h": (1, False), "cu1": (2, True), "swap": (2, False)}
+GATE_NAMES = tuple(GATE_FORMS)
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,8 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.name not in GATE_NAMES:
-            raise ValueError(f"unknown gate kind {self.name!r}")
+        if GATE_FORMS.get(self.name) != (len(self.qubits), self.angle is not None):
+            raise ValueError(f"malformed gate {self.name!r} on {self.qubits}, angle {self.angle}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"repeated qubit in {self.name} gate: {self.qubits}")
         if self.angle is not None and not math.isfinite(self.angle):
@@ -91,22 +93,8 @@ class Circuit:
     def dagger(self) -> "Circuit":
         out = Circuit(self.width, global_phase=-self.global_phase)
         for g in reversed(self.gates):
-            if g.name in ("rz", "cu1"):
-                out.gates.append(replace(g, angle=-g.angle))
-            else:
-                out.gates.append(g)
+            out.gates.append(g if g.angle is None else replace(g, angle=-g.angle))
         return out
-
-
-def _set_bits(mask: int):
-    bits = []
-    q = 0
-    while mask:
-        if mask & 1:
-            bits.append(q)
-        mask >>= 1
-        q += 1
-    return bits
 
 
 def exp_walsh(mask: int, coeff: float, n: int) -> Circuit:
@@ -118,7 +106,7 @@ def exp_walsh(mask: int, coeff: float, n: int) -> Circuit:
     if not 0 < mask < (1 << n):
         raise ValueError(f"mask {mask} must be nonzero and fit in {n} qubits")
     target = mask.bit_length() - 1
-    controls = [b for b in _set_bits(mask) if b != target]
+    controls = [q for q in range(target) if mask >> q & 1]
     circ = Circuit(n)
     for c in controls:
         circ.cx(c, target)
@@ -128,18 +116,30 @@ def exp_walsh(mask: int, coeff: float, n: int) -> Circuit:
     return circ
 
 
-def _grouped_sequency(series: WalshSeries):
-    """Kept masks grouped by msb, groups ascending, Gray order within."""
-    masks = sorted((m for m in series.terms if m != 0), key=gray_rank)
-    groups: list[list[int]] = []
-    current_top = -1
-    for m in masks:
-        top = m.bit_length() - 1
-        if top != current_top:
-            groups.append([])
-            current_top = top
-        groups[-1].append(m)
-    return groups
+def _sequency_walk(series: WalshSeries):
+    """``(msb, coeffs, load, unload)`` per nonzero mask in sequency order.
+
+    ``load`` (mask words) holds the controls of the CNOTs onto the msb before
+    the mask's Rz: its XOR with the previous mask of its group, or with the
+    bare msb when it opens the group.  ``unload`` holds the controls undone
+    after a group's last mask, and zero elsewhere.
+    """
+    order, msb = sequency_order(series.words)
+    order, msb = order[msb >= 0], msb[msb >= 0]  # mask 0 is the global phase
+    words = series.words[order]
+    lead = np.zeros_like(words)
+    lead[np.arange(len(msb)), msb // 64] = 1 << (msb % 64).astype(words.dtype)  # bare msb
+    opens = np.diff(msb, prepend=-1) != 0  # first mask of its msb group
+    closes = np.roll(opens, -1)
+    load = words ^ np.where(opens[:, None], lead, np.roll(words, 1, axis=0))
+    unload = np.where(closes[:, None], words ^ lead, 0)
+    return msb, series.coeffs[order], load, unload
+
+
+def _set_bits(words: np.ndarray):
+    """(row, qubit) of every set bit of mask word rows, row by row with qubits ascending."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    return np.nonzero(bits)
 
 
 def exact_circuit(series: WalshSeries) -> Circuit:
@@ -151,17 +151,20 @@ def exact_circuit(series: WalshSeries) -> Circuit:
     the end.  A full n-qubit series costs 2^n - 1 Rz and 2^n - 2 CNOTs; a
     single-entry series reduces to its mirrored `exp_walsh` form.
     """
+    msb, coeffs, load, unload = _sequency_walk(series)
+    load_row, load_bit = _set_bits(load)
+    unload_row, unload_bit = _set_bits(unload)
+    # per mask: loading CNOTs (qubits ascending), the Rz (control -1), unloading CNOTs (descending)
+    row = np.concatenate([load_row, np.arange(len(msb)), unload_row[::-1]])
+    control = np.concatenate([load_bit, np.full(len(msb), -1), unload_bit[::-1]])
+    order = np.argsort(row, kind="stable")
+    row, control = row[order], control[order]
+    angles = (-2.0 * coeffs).tolist()
     circ = Circuit(series.n, global_phase=series.coefficient(0))
-    for group in _grouped_sequency(series):
-        target = group[0].bit_length() - 1
-        state = 1 << target
-        for mask in group:
-            for b in _set_bits(state ^ mask):
-                circ.cx(b, target)
-            circ.rz(-2.0 * series.terms[mask], target)
-            state = mask
-        for b in reversed(_set_bits(state ^ (1 << target))):
-            circ.cx(b, target)
+    circ.gates = [
+        Gate("cx", (c, t)) if c >= 0 else Gate("rz", (t,), angles[k])
+        for k, c, t in zip(row.tolist(), control.tolist(), msb[row].tolist())
+    ]
     return circ
 
 
@@ -224,48 +227,15 @@ def simplify_cnots(circuit: Circuit) -> Circuit:
     return Circuit(circuit.width, gates, circuit.global_phase)
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    out = np.zeros_like(arr)
-    work = arr.copy()
-    while work.any():
-        out += work & 1
-        work >>= 1
-    return out
-
-
 def sequency_gate_counts(series: WalshSeries, theta_min: float = 0.0) -> dict[str, int]:
-    """Gate counts of `truncated_circuit` without building the gate list.
+    """Gate counts of `truncated_circuit` from its sequency walk, without building gates.
 
-    Per msb group: entry CNOTs for the low bits of the first kept mask, one
-    CNOT per XOR bit between adjacent kept masks, and unwind CNOTs for the
-    low bits of the last mask.  This is exactly the gate list that
-    `truncated_circuit` emits.
+    One Rz per kept nonzero mask, one CNOT per set bit of ``load`` and ``unload``.
     """
-    if not theta_min >= 0:
-        raise ValueError(f"cutoff must be non-negative, got {theta_min}")
-    cut = theta_min / 2.0
-    masks = np.array(
-        [m for m, c in series.terms.items() if m != 0 and abs(c) >= cut], dtype=np.int64
-    )
-    if masks.size == 0:
-        return {"rz": 0, "cx": 0}
-    rank = masks.copy()
-    shift = masks >> 1
-    while shift.any():
-        rank ^= shift
-        shift >>= 1
-    masks = masks[np.argsort(rank)]
-    top = (1 << (np.int64(np.floor(np.log2(masks))))).astype(np.int64)
-    boundary = np.nonzero(top[1:] != top[:-1])[0]  # last index of each group but the final
-    firsts = np.concatenate(([0], boundary + 1))
-    lasts = np.concatenate((boundary, [masks.size - 1]))
-    cx = int(_popcount(masks[firsts] ^ top[firsts]).sum())
-    cx += int(_popcount(masks[lasts] ^ top[lasts]).sum())
-    inner = top[1:] == top[:-1]
-    cx += int(_popcount((masks[1:] ^ masks[:-1])[inner]).sum())
-    return {"rz": int(masks.size), "cx": cx}
+    kept, _ = threshold_truncate(series, theta_min)
+    msb, _, load, unload = _sequency_walk(kept)
+    cx = int(np.bitwise_count(load).sum()) + int(np.bitwise_count(unload).sum())
+    return {"rz": len(msb), "cx": cx}
 
 
 def gate_count(circuit: Circuit) -> dict[str, int]:

@@ -56,6 +56,7 @@ from .trotter import (
     hamiltonian_series,
     product_scaling_study,
     step_circuit,
+    term_series,
 )
 from .walsh import l1_norm
 
@@ -96,6 +97,13 @@ def _parse_ints(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"range {text!r} is empty")
         return list(range(lo, hi + 1))
     return [int(v) for v in text.split(",")]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive count, got {text!r}")
+    return value
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -209,6 +217,9 @@ def cmd_spectrum(args) -> int:
         raise SystemExit(
             "compact spectra need at least two --nq values; the largest serves as the reference"
         )
+    dim = 1 << (lattice.n_p * min(nq_list))
+    if levels > dim:
+        raise SystemExit(f"--levels {levels} exceeds the {dim} levels of the smallest matrix")
     if formulation == "non-compact":
         reference = noncompact_spectrum_oracle(lattice, levels)
         run_nqs = nq_list
@@ -402,7 +413,8 @@ def cmd_l1(args) -> int:
                 d = digitize(n_p, n_q, g, "compact")
             else:
                 d = Digitization(n_q, g, np.full(n_p, b_max), "compact", "original")
-            val = l1_norm(hamiltonian_series([_bare_cosine(n_p, g)], d, 1.0))
+            # the term's own series: embedding moves masks, not coefficients
+            val = l1_norm(term_series(_bare_cosine(n_p, g), d, 1.0))
             rows.append((n_q, n_p, n, val, 2.0 ** ((n - 5) / 4.0)))
     config = dict(nq=nq_list, np=np_list, qubit_limit=limit,
                   bmax_over_pi=args.bmax_over_pi, g=g)
@@ -532,11 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--workers", type=int, default=1, help="sweep worker threads")
-        p.add_argument("--dense-limit", type=int, help="dense diagonalization qubit cap")
+        p.add_argument("--dense-limit", type=_positive_int, help="dense diagonalization qubit cap")
 
     p = sub.add_parser("spectrum", help="digitized spectra vs reference")
     common(p)
-    p.add_argument("--levels", type=int, help="number of eigenvalues (default 10)")
+    p.add_argument("--levels", type=_positive_int, help="number of eigenvalues (default 10)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("plaquette", help="plaquette expectation across couplings")
@@ -554,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("l1", help="L1 norm of the maximally coupled cosine")
     common(p)
     p.add_argument("--bmax-over-pi", type=float, help="fixed half-width as a fraction of pi")
-    p.add_argument("--qubit-limit", type=int, help="largest register to transform (default 16)")
+    p.add_argument("--qubit-limit", type=_positive_int,
+                   help="largest register to transform (default 16)")
     p.set_defaults(func=cmd_l1)
 
     p = sub.add_parser("product-scaling", help="CNOT scaling fits for repeated cosine products")

@@ -246,10 +246,6 @@ def r_grid(d: Digitization, plaquette: int) -> DiagonalValues:
     return DiagonalValues(d.n_q, -r_max + dr * np.arange(d.n_states))
 
 
-def plaquette_qubits(plaquette: int, n_q: int) -> range:
-    return range(plaquette * n_q, (plaquette + 1) * n_q)
-
-
 def embed_positions(support, n_q: int) -> list[int]:
     """Register positions for a term's local Walsh series.
 

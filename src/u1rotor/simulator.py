@@ -15,10 +15,11 @@ the oracle that the fused path is tested against.
 from __future__ import annotations
 
 import re
+import sys
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import GATE_FORMS, Circuit, Gate
 from .hamiltonian import (
     DENSE_LIMIT_QUBITS,
     TERM_LIMIT_QUBITS,
@@ -149,10 +150,7 @@ def exact_evolution(
 
 _QASM_PHASE = re.compile(r"^//\s*global_phase:\s*([-+0-9.eE]+)\s*$")
 _QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\];$")
-_QASM_1Q = re.compile(r"^(h)\s+q\[(\d+)\];$")
-_QASM_1Q_ANGLE = re.compile(r"^(rz)\(([-+0-9.eE]+)\)\s+q\[(\d+)\];$")
-_QASM_2Q = re.compile(r"^(cx|swap)\s+q\[(\d+)\],q\[(\d+)\];$")
-_QASM_2Q_ANGLE = re.compile(r"^(cu1)\(([-+0-9.eE]+)\)\s+q\[(\d+)\],q\[(\d+)\];$")
+_QASM_GATE = re.compile(r"^(\w+)(?:\(([-+0-9.eE]+)\))?\s+q\[(\d+)\](?:,q\[(\d+)\])?;$")
 
 
 def read_qasm(text: str) -> Circuit:
@@ -175,24 +173,14 @@ def read_qasm(text: str) -> Circuit:
             continue
         if circ is None:
             raise ValueError(f"gate before qreg declaration: {line!r}")
-        m = _QASM_1Q.match(line)
-        if m:
-            circ.h(int(m.group(2)))
-            continue
-        m = _QASM_1Q_ANGLE.match(line)
-        if m:
-            circ.rz(float(m.group(2)), int(m.group(3)))
-            continue
-        m = _QASM_2Q.match(line)
-        if m:
-            a, b = int(m.group(2)), int(m.group(3))
-            circ.cx(a, b) if m.group(1) == "cx" else circ.swap(a, b)
-            continue
-        m = _QASM_2Q_ANGLE.match(line)
-        if m:
-            circ.cu1(float(m.group(2)), int(m.group(3)), int(m.group(4)))
-            continue
-        raise ValueError(f"unsupported QASM line: {line!r}")
+        m = _QASM_GATE.match(line)
+        if m is None or m.group(1) not in GATE_FORMS:
+            raise ValueError(f"unsupported QASM line: {line!r}")
+        name, angle, a, b = m.groups()
+        qubits = (int(a),) if b is None else (int(a), int(b))
+        circ._check(*qubits)
+        # interned, so that every gate of a kind shares one name string
+        circ.gates.append(Gate(sys.intern(name), qubits, None if angle is None else float(angle)))
     if circ is None:
         raise ValueError("no qreg declaration found")
     return circ

@@ -74,6 +74,12 @@ class TrotterPlan:
         return self.steps * self.dt
 
 
+def term_series(term, d, scale: float, limit: int = TERM_LIMIT_QUBITS) -> WalshSeries:
+    """Walsh series of scale * term on the register of the term's own plaquettes."""
+    diag = diagonal_of_term(term, d, limit)
+    return fwt(DiagonalValues(diag.n, scale * diag.values))
+
+
 def hamiltonian_series(
     terms,
     d,
@@ -85,11 +91,10 @@ def hamiltonian_series(
     ``d`` is the digitization; the register spans all of its plaquettes.
     """
     width = d.n_p * d.n_q
-    parts = []
-    for term in terms:
-        diag = diagonal_of_term(term, d, limit)
-        local = fwt(DiagonalValues(diag.n, scale * diag.values))
-        parts.append(embed(local, embed_positions(term.plaquettes, d.n_q), width))
+    parts = [
+        embed(term_series(term, d, scale, limit), embed_positions(term.plaquettes, d.n_q), width)
+        for term in terms
+    ]
     if not parts:
         return WalshSeries(width, {})
     return merge(parts)
@@ -113,7 +118,7 @@ def _truncate_factor(series: WalshSeries, theta: float) -> tuple[WalshSeries, in
     phase = series.coefficient(0)
     if kept.coefficient(0) == phase:
         return kept, dropped
-    return WalshSeries(series.n, {0: phase, **kept.terms}), dropped - 1
+    return merge([kept, WalshSeries(series.n, {0: phase})]), dropped - 1
 
 
 def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
@@ -182,10 +187,6 @@ class ErrorBudget:
     bound: float
 
 
-def _drop_count(series: WalshSeries, theta: float) -> int:
-    return _truncate_factor(series, theta)[1]
-
-
 def error_bound(
     model: HamiltonianModel,
     plan: TrotterPlan,
@@ -207,9 +208,9 @@ def error_bound(
     theta_e = plan.theta_e.resolve(plan.dt)
     theta_b = plan.theta_b.resolve(plan.dt)
     if c_e is None:
-        c_e = _drop_count(series_e, theta_e) / plan.dt
+        c_e = _truncate_factor(series_e, theta_e)[1] / plan.dt
     if c_b is None:
-        c_b = _drop_count(series_b, theta_b) / plan.dt
+        c_b = _truncate_factor(series_b, theta_b)[1] / plan.dt
     t = plan.t
     bound = alpha * t * plan.dt + c_e * theta_e * t + c_b * theta_b * t
     return ErrorBudget(alpha, float(c_e), float(c_b), theta_e, theta_b, float(bound))
@@ -232,8 +233,8 @@ def n_drop_monotonicity_check(
         p = replace(plan, dt=dt)
         series_e, series_b = factor_series(model, p)
         drops.append(
-            _drop_count(series_e, p.theta_e.resolve(dt))
-            + _drop_count(series_b, p.theta_b.resolve(dt))
+            _truncate_factor(series_e, p.theta_e.resolve(dt))[1]
+            + _truncate_factor(series_b, p.theta_b.resolve(dt))[1]
         )
     monotone = all(a <= b for a, b in zip(drops, drops[1:]))
     return NDropReport(dts, tuple(drops), monotone)
@@ -250,7 +251,7 @@ def product_scaling_study(n_q=2, np_max=8, g=0.1, theta_exponents=range(0, 37)):
     """
     d = digitize(1, n_q, g, "compact")
     f = np.cos(b_grid(d, 0).values)
-    single = np.sort(np.abs(np.array(list(fwt(DiagonalValues(n_q, f)).terms.values()))))[::-1]
+    single = np.sort(np.abs(fwt(DiagonalValues(n_q, f)).coeffs))[::-1]
     a2 = float(single[1])
 
     thetas = [2.0**-k for k in theta_exponents]

@@ -10,12 +10,20 @@ the transform pair
     a_j = 2^-n * sum_k values[k] * (-1)^popcount(j & reverse_n(k))
 
 which is what `fwt` / `inverse_fwt` implement (``reverse_n`` reverses an
-n-bit string).  Coefficients of magnitude <= `PRUNE_TOL` are never stored.
+n-bit string).
+
+A `WalshSeries` of any register width stores mask ``t`` as row ``t`` of a
+``(terms, ceil(n/64))`` uint64 array ``words`` (qubit ``q`` is bit ``q % 64``
+of word ``q // 64``) and its coefficient as ``coeffs[t]``.  Rows are unique
+and sorted as integers; coefficients of magnitude <= `PRUNE_TOL` are never
+stored.  Sequency order (`sequency_order`) sorts masks by Gray rank, whose
+bit ``i`` is the parity of the mask's bits ``>= i``: masks sharing a most
+significant bit form one group, groups ascending, reflected Gray within.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,27 +58,57 @@ class DiagonalValues:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
+_WORD = (1 << 64) - 1
+_SHIFTS = (1, 2, 4, 8, 16, 32)  # doubling shifts that fold a whole 64-bit word
+
+
+def _word_count(n: int) -> int:
+    return max(1, -(-n // 64))
+
+
+def _words(masks, n: int) -> np.ndarray:
+    """Integer masks in [0, 2^n) as a ``(len(masks), ceil(n/64))`` uint64 array."""
+    for m in masks:
+        if not 0 <= m < (1 << n):
+            raise ValueError(f"mask {m} out of range for n={n}")
+    shifts = range(0, 64 * _word_count(n), 64)
+    rows = [[(int(m) >> s) & _WORD for s in shifts] for m in masks]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), len(shifts))
+
+
 class WalshSeries:
-    """Sparse map from Paley index to real coefficient on an ``n``-qubit register."""
+    """Sparse Paley-indexed coefficients on ``n`` qubits, from ``{mask: coefficient}``."""
 
-    n: int
-    terms: dict[int, float] = field(default_factory=dict)
+    __slots__ = ("n", "words", "coeffs")
 
-    def __post_init__(self):
-        pruned = {}
-        for mask, coeff in self.terms.items():
-            if not 0 <= mask < (1 << self.n):
-                raise ValueError(f"mask {mask} out of range for n={self.n}")
-            if abs(coeff) > PRUNE_TOL:
-                pruned[int(mask)] = float(coeff)
-        object.__setattr__(self, "terms", pruned)
+    def __init__(self, n: int, terms=None):
+        terms = terms or {}
+        words = _words(terms, n)
+        coeffs = np.array(list(terms.values()), dtype=float)
+        order = np.lexsort(words.T)
+        keep = np.abs(coeffs[order]) > PRUNE_TOL
+        self.n, self.words, self.coeffs = n, words[order][keep], coeffs[order][keep]
+
+    @classmethod
+    def _of(cls, n: int, words: np.ndarray, coeffs: np.ndarray) -> "WalshSeries":
+        """Series over sorted, unique mask rows and coefficients above `PRUNE_TOL`."""
+        out = cls.__new__(cls)
+        out.n, out.words, out.coeffs = n, words, coeffs
+        return out
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+    def items(self) -> list[tuple[int, float]]:
+        """(mask, coefficient) pairs in ascending mask order."""
+        masks = [int.from_bytes(row.tobytes(), "little") for row in self.words.astype("<u8")]
+        return list(zip(masks, self.coeffs.tolist()))
 
     def coefficient(self, mask: int) -> float:
-        return self.terms.get(mask, 0.0)
+        if not 0 <= mask < (1 << self.n):
+            return 0.0
+        hit = np.flatnonzero((self.words == _words([mask], self.n)).all(axis=1))
+        return float(self.coeffs[hit[0]]) if hit.size else 0.0
 
 
 def walsh_value(j: int, k: int, n: int) -> int:
@@ -104,8 +142,8 @@ def _series_of_state_order(work: np.ndarray, n: int) -> WalshSeries:
     """Normalized transform of a state-ordered diagonal; overwrites ``work``."""
     _fwht_inplace(work)
     work /= 1 << n
-    keep = np.nonzero(np.abs(work) > PRUNE_TOL)[0]
-    return WalshSeries(n, {int(j): float(work[j]) for j in keep})
+    keep = np.flatnonzero(np.abs(work) > PRUNE_TOL)
+    return WalshSeries._of(n, keep.astype(np.uint64).reshape(-1, 1), work[keep])
 
 
 def fwt(values: DiagonalValues) -> WalshSeries:
@@ -132,37 +170,35 @@ def state_values(series: WalshSeries) -> np.ndarray:
     """Dense diagonal of a series in plain register order."""
     n = series.n
     coeffs = np.zeros(1 << n)
-    for mask, c in series.terms.items():
-        coeffs[mask] = c
+    coeffs[series.words[:, 0].astype(np.intp)] = series.coeffs
     _fwht_inplace(coeffs)
     return coeffs
 
 
-def binary_to_gray(j: int) -> int:
-    """Reflected Gray code of ``j``."""
-    if j < 0:
-        raise ValueError("Gray code defined for non-negative integers")
-    return j ^ (j >> 1)
+def _gray_rank_words(words: np.ndarray) -> np.ndarray:
+    """Gray rank of each mask row, word by word: bit i is the parity of the mask's bits >= i."""
+    rank = words.copy()
+    for s in _SHIFTS:
+        rank ^= rank >> s
+    parity = rank & 1  # bit 0 of a word's rank is the word's own parity
+    above = np.bitwise_xor.accumulate(parity[:, ::-1], axis=1)[:, ::-1] ^ parity
+    return rank ^ (above * np.uint64(_WORD))  # odd parity in the words above flips a word
 
 
-def gray_rank(mask: int) -> int:
-    """Position of ``mask`` in the Gray sequence (inverse of `binary_to_gray`).
+def sequency_order(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order putting mask words in sequency order, and each sorted row's msb.
 
-    Sorting Walsh indices by this key yields sequency order: indices sharing
-    a most significant bit form one contiguous group, reflected within.
+    Mask 0 (msb -1) comes first, then the msb groups in ascending order.  The
+    msb is read off the bit length of a mask's top nonzero word.
     """
-    if mask < 0:
-        raise ValueError("Gray rank defined for non-negative integers")
-    rank = 0
-    while mask:
-        rank ^= mask
-        mask >>= 1
-    return rank
-
-
-def sequency_sorted(masks) -> list[int]:
-    """Masks sorted into sequency order (msb groups ascending, Gray within)."""
-    return sorted(masks, key=gray_rank)
+    order = np.lexsort(_gray_rank_words(words).T)
+    nonzero = words[order] != 0
+    top = words.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    smear = words[order, top]
+    for s in _SHIFTS:
+        smear |= smear >> s
+    msb = 64 * top + np.bitwise_count(smear).astype(np.int64) - 1
+    return order, np.where(nonzero.any(axis=1), msb, -1)
 
 
 def embed(series: WalshSeries, positions: list[int], width: int) -> WalshSeries:
@@ -180,21 +216,11 @@ def embed(series: WalshSeries, positions: list[int], width: int) -> WalshSeries:
     for p in positions:
         if not 0 <= p < width:
             raise ValueError(f"position {p} outside target register of width {width}")
-    # one lookup table per byte of a mask: the moved bits for each of its 256 values
-    tables = []
-    for lo in range(0, series.n, 8):
-        chunk = positions[lo:lo + 8]
-        table = [0] * (1 << len(chunk))
-        for v in range(1, len(table)):
-            table[v] = table[v & (v - 1)] | (1 << chunk[(v & -v).bit_length() - 1])
-        tables.append((lo, table))
-    moved: dict[int, float] = {}
-    for mask, coeff in series.terms.items():
-        new = 0
-        for lo, table in tables:
-            new |= table[(mask >> lo) & 0xFF]
-        moved[new] = coeff
-    return WalshSeries(width, moved)
+    moved = np.zeros((len(series), _word_count(width)), dtype=np.uint64)
+    for i, p in enumerate(positions):
+        moved[:, p // 64] |= ((series.words[:, i // 64] >> (i % 64)) & 1) << (p % 64)
+    order = np.lexsort(moved.T)
+    return WalshSeries._of(width, moved[order], series.coeffs[order])
 
 
 def merge(series_list) -> WalshSeries:
@@ -209,13 +235,19 @@ def merge(series_list) -> WalshSeries:
     if len(series_list) == 1:
         return series_list[0]
     n = series_list[0].n
-    total: dict[int, float] = {}
     for s in series_list:
         if s.n != n:
             raise ValueError(f"register width mismatch in merge: {s.n} != {n}")
-        for mask, coeff in s.terms.items():
-            total[mask] = total.get(mask, 0.0) + coeff
-    return WalshSeries(n, total)
+    words = np.concatenate([s.words for s in series_list])
+    # stable: each mask's contributions stay in series order and sum from 0.0
+    order = np.lexsort(words.T)
+    words = words[order]
+    first = np.ones(len(words), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    coeffs = np.concatenate([s.coeffs for s in series_list])[order]
+    total = np.bincount(np.cumsum(first) - 1, weights=coeffs)
+    keep = np.abs(total) > PRUNE_TOL  # entries cancelling to zero
+    return WalshSeries._of(n, words[first][keep], total[keep])
 
 
 def threshold_truncate(series: WalshSeries, theta_min: float) -> tuple[WalshSeries, int]:
@@ -226,11 +258,11 @@ def threshold_truncate(series: WalshSeries, theta_min: float) -> tuple[WalshSeri
     """
     if not theta_min >= 0:
         raise ValueError(f"cutoff must be non-negative, got {theta_min}")
-    cut = theta_min / 2.0
-    kept = {m: c for m, c in series.terms.items() if abs(c) >= cut}
-    return WalshSeries(series.n, kept), len(series.terms) - len(kept)
+    keep = np.abs(series.coeffs) >= theta_min / 2.0
+    kept = WalshSeries._of(series.n, series.words[keep], series.coeffs[keep])
+    return kept, len(series) - len(kept)
 
 
 def l1_norm(series: WalshSeries) -> float:
-    """Sum of absolute coefficient values."""
-    return float(sum(abs(c) for c in series.terms.values()))
+    """Sum of absolute coefficient values, added one by one in storage order."""
+    return float(sum(np.abs(series.coeffs).tolist()))

@@ -31,7 +31,7 @@ def series_state_diagonal(series) -> np.ndarray:
     out = np.zeros(dim)
     for state in range(dim):
         out[state] = sum(
-            c * (-1) ** bin(m & state).count("1") for m, c in series.terms.items()
+            c * (-1) ** bin(m & state).count("1") for m, c in series.items()
         )
     return out
 

@@ -31,7 +31,7 @@ def _report(num, name, passed):
 def test_criterion_01_walsh_coefficient_table():
     d = u.digitize(1, 2, 0.1, "compact")
     series = u.fwt(u.DiagonalValues(2, np.cos(u.b_grid(d, 0).values)))
-    mags = sorted((abs(c) for c in series.terms.values()), reverse=True)
+    mags = sorted(np.abs(series.coeffs), reverse=True)
     reference = [9.83e-1, 1.10e-2, 1.10e-2, 5.49e-3]
     ok = len(mags) == 4 and all(
         abs(m - r) / r < 0.01 for m, r in zip(mags, reference)
@@ -78,7 +78,7 @@ def test_criterion_04_unitary_equivalence_property():
         ).max()
         theta = float(rng.uniform(0.0, 1.0))
         kept, _ = u.threshold_truncate(series, theta)
-        body = u.WalshSeries(n, {m: c for m, c in kept.terms.items() if m != 0})
+        body = u.WalshSeries(n, {m: c for m, c in kept.items() if m != 0})
         target = np.exp(1j * series.coefficient(0)) * diagonal_exponential(body)
         trunc_dev = np.abs(
             u.circuit_unitary(u.truncated_circuit(series, theta)) - target
@@ -251,7 +251,7 @@ def test_criterion_13_single_cosine_saturation():
         premise &= abs(deep.coefficient(top | low) / -scale - 1.0) <= 0.01
         premise &= all(
             abs(c) < scale / 2
-            for m, c in deep.terms.items()
+            for m, c in deep.items()
             if (m & -m) == low and m != (top | low)
         )
     ok = premise

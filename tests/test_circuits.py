@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import u1rotor as u
 from u1rotor.circuits import Gate
@@ -50,8 +51,8 @@ def test_exact_circuit_three_qubit_order(rng):
     counts = u.gate_count(circ)
     assert counts["rz"] == 7 and counts["cx"] == 6
     angles = [g.angle for g in circ.gates if g.name == "rz"]
-    assert angles == [-2 * series.terms[j] for j in (1, 3, 2, 6, 7, 5, 4)]
-    assert circ.global_phase == series.terms[0]
+    assert angles == [-2 * series.coefficient(j) for j in (1, 3, 2, 6, 7, 5, 4)]
+    assert circ.global_phase == series.coefficient(0)
 
 
 def test_exact_gate_count_law(rng):
@@ -98,7 +99,7 @@ def test_truncated_circuit_unitary(rng):
         series = random_series(rng, n, density=0.6)
         theta = float(rng.uniform(0, 1.0))
         kept, _ = u.threshold_truncate(series, theta)
-        body = u.WalshSeries(n, {m: c for m, c in kept.terms.items() if m != 0})
+        body = u.WalshSeries(n, {m: c for m, c in kept.items() if m != 0})
         phase = series.coefficient(0)
         circ = u.truncated_circuit(series, theta)
         counts = u.gate_count(circ)
@@ -117,10 +118,21 @@ def test_truncated_counts_monotone_in_cutoff(rng):
 
 
 def test_sequency_gate_counts_matches_circuit_path(rng):
+    cases = []
     for _ in range(30):
         n = int(rng.integers(1, 8))
         series = random_series(rng, n, density=float(rng.uniform(0.1, 1.0)))
-        theta = float(rng.uniform(0, 1.0))
+        cases.append((series, float(rng.uniform(0, 1.0))))
+    # all-ones masks whose msb a float log2 rounds up, and registers wider than 64 qubits
+    cases += [(u.WalshSeries(n, {(1 << n) - 1: 0.3}), 0.0) for n in range(49, 54)]
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        width = int(rng.integers(n, 201))
+        positions = [int(p) for p in rng.choice(width, size=n, replace=False)]
+        local = random_series(rng, n, density=float(rng.uniform(0.3, 1.0)))
+        cases.append((u.embed(local, positions, width), float(rng.uniform(0, 1.0))))
+    assert max(series.n for series, _ in cases) > 128
+    for series, theta in cases:
         shortcut = u.sequency_gate_counts(series, theta)
         built = u.gate_count(u.truncated_circuit(series, theta))
         assert shortcut["rz"] == built["rz"]
@@ -128,6 +140,31 @@ def test_sequency_gate_counts_matches_circuit_path(rng):
     for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError):
             u.sequency_gate_counts(series, bad)
+
+
+@st.composite
+def _wide_embedding(draw):
+    # increasing positions with at least one qubit below 64, one in [64, 128) and one above
+    n = draw(st.integers(3, 8))
+    width = draw(st.integers(129, 200))
+    fixed = [draw(st.integers(0, 63)), draw(st.integers(64, 127)), draw(st.integers(128, width - 1))]
+    rest = draw(st.lists(st.integers(0, width - 1).filter(lambda p: p not in fixed),
+                         min_size=n - 3, max_size=n - 3, unique=True))
+    coeff = st.floats(0.1, 1.0) | st.floats(-1.0, -0.1)
+    terms = draw(st.dictionaries(st.integers(0, (1 << n) - 1), coeff, min_size=1, max_size=40))
+    return u.WalshSeries(n, terms), sorted(fixed + rest), width
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_wide_embedding())
+def test_wide_synthesis_relabels_local_synthesis(case):
+    series, positions, width = case
+    local = u.exact_circuit(series)
+    wide = u.exact_circuit(u.embed(series, positions, width))
+    assert wide.width == width and wide.global_phase == local.global_phase
+    assert wide.gates == [
+        Gate(g.name, tuple(positions[q] for q in g.qubits), g.angle) for g in local.gates
+    ]
 
 
 def test_truncated_circuit_leaves_nothing_to_simplify(rng):

@@ -63,6 +63,22 @@ def test_gatecount_zero_cutoff_matches_exact_counts(tmp_path):
     assert int(rows[0][header.index("cnot")]) == counts["cx"]
 
 
+@pytest.mark.parametrize("term", ["electric", "magnetic"])
+def test_gatecount_wide_noncompact_matches_circuit(tmp_path, term):
+    # 8x8 at n_q = 2 is a 126-qubit register, two 64-bit words per mask
+    out = tmp_path / "gates.csv"
+    assert main(["gatecount", "--axis", "theta", "--term", term, "--lattice", "8x8",
+                 "--formulation", "non-compact", "--nq", "2", "--g", "1.2", "--dt", "0.5",
+                 "--theta-grid", "0.004", "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    model = u.build_model(u.LatticeSpec(8, 8), u.digitize(63, 2, 1.2, "non-compact"))
+    series = u.hamiltonian_series(getattr(model, term), model.digitization, -0.5)
+    counts = u.gate_count(u.truncated_circuit(series, 0.004))
+    assert series.n == 126 and counts["cx"] > 0
+    assert int(rows[0][header.index("rz")]) == counts["rz"]
+    assert int(rows[0][header.index("cnot")]) == counts["cx"]
+
+
 def test_gatecount_weaved_drops_to_zero(tmp_path):
     out = tmp_path / "sweep.csv"
     main(["gatecount", "--axis", "g", "--term", "magnetic", "--basis", "weaved",
@@ -296,6 +312,14 @@ def test_config_values_checked_like_flags(tmp_path, entry):
     ["l1", "--config", "{tmp}/list.json"],
     ["plaquette", "--lattice", "2x2", "--nq", "2", "--weave", "{tmp}/missing.json"],
     ["plaquette", "--lattice", "2x2", "--nq", "2", "--weave", "{tmp}/empty.json"],
+    # the 2x2 n_q=1 matrix has 8 levels: 10 died in an IndexError, -2 wrote a
+    # header-only table, and 0 silently meant 10
+    ["spectrum", "--lattice", "2x2", "--nq", "1", "--levels", "10"],
+    ["spectrum", "--lattice", "2x2", "--nq", "1", "--levels", "-2"],
+    ["spectrum", "--lattice", "2x2", "--nq", "2", "--levels", "0"],
+    # zero limits silently became the defaults 14 and 16
+    ["spectrum", "--lattice", "2x2", "--nq", "1", "--levels", "4", "--dense-limit", "0"],
+    ["l1", "--nq", "2", "--qubit-limit", "0"],
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
     (tmp_path / "malformed.json").write_text('{"nq": ')

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import u1rotor as u
+from u1rotor.walsh import sequency_order
 
 from conftest import bf_coefficients, bf_walsh, random_series
 
@@ -45,7 +46,7 @@ def test_orthogonality_exhaustive():
 
 def test_fwt_constant_vector():
     series = u.fwt(u.DiagonalValues(3, np.full(8, 0.7)))
-    assert series.terms == {0: 0.7}
+    assert series.items() == [(0, 0.7)]
 
 
 def test_fwt_matches_bruteforce(rng):
@@ -54,7 +55,7 @@ def test_fwt_matches_bruteforce(rng):
         series = u.fwt(u.DiagonalValues(n, values))
         expected = bf_coefficients(values, n)
         dense = np.zeros(1 << n)
-        for m, c in series.terms.items():
+        for m, c in series.items():
             dense[m] = c
         assert np.abs(dense - expected).max() < 1e-12
 
@@ -64,10 +65,10 @@ def test_fwt_cosine_coefficients():
     series = u.fwt(u.DiagonalValues(2, _cos_grid_values()))
     expected = {0: 0.9834314656912715, 1: -0.011025203864207578,
                 2: -0.005481873419686617, 3: -0.011025203864207578}
-    assert set(series.terms) == set(expected)
+    assert set(dict(series.items())) == set(expected)
     for m, c in expected.items():
-        assert series.terms[m] == pytest.approx(c, abs=1e-12)
-    mags = sorted((abs(c) for c in series.terms.values()), reverse=True)
+        assert series.coefficient(m) == pytest.approx(c, abs=1e-12)
+    mags = sorted(np.abs(series.coeffs), reverse=True)
     paper_table = [9.83e-1, 1.10e-2, 1.10e-2, 5.49e-3]
     for got, ref in zip(mags, paper_table):
         assert abs(got - ref) / ref < 0.01
@@ -94,9 +95,9 @@ def test_round_trip(rng):
 def test_fwt_inverse_fwt_series_round_trip(rng):
     series = random_series(rng, 6, density=0.3)
     again = u.fwt(u.inverse_fwt(series))
-    assert set(again.terms) == set(series.terms)
-    for m, c in series.terms.items():
-        assert again.terms[m] == pytest.approx(c, abs=1e-12)
+    assert set(dict(again.items())) == set(dict(series.items()))
+    for m, c in series.items():
+        assert again.coefficient(m) == pytest.approx(c, abs=1e-12)
 
 
 def test_state_values_matches_dyadic_reordering(rng):
@@ -108,23 +109,32 @@ def test_state_values_matches_dyadic_reordering(rng):
         assert by_state[state] == pytest.approx(values[u.bit_reverse(state, n)], abs=1e-12)
     # and the plain-register transform agrees with fwt of the permuted input
     series2 = u.series_from_state_values(by_state, n)
-    assert set(series2.terms) == set(series.terms)
+    assert np.array_equal(series2.words, series.words)
 
 
 def test_gray_code():
-    assert u.binary_to_gray(0) == 0
-    assert u.binary_to_gray(2) == 3
-    for m in range(256):
-        assert u.gray_rank(u.binary_to_gray(m)) == m
-    assert u.sequency_sorted(range(1, 8)) == [1, 3, 2, 6, 7, 5, 4]
+    # every mask of a register, in sequency order, is the reflected Gray sequence
+    for n in (1, 3, 8):
+        series = u.WalshSeries(n, dict.fromkeys(range(1 << n), 1.0))  # row i holds mask i
+        order, msb = sequency_order(series.words)
+        assert order.tolist() == [m ^ (m >> 1) for m in range(1 << n)]
+        assert msb.tolist() == [m.bit_length() - 1 for m in order.tolist()]
+    # across 64-bit words: msb groups ascending, a group's bare msb last
+    top = 1 << 130
+    expected = [0, 1, 3, 1 << 64, top | (1 << 64), top | 1, top]
+    series = u.WalshSeries(131, dict.fromkeys(expected[::-1], 1.0))
+    order, msb = sequency_order(series.words)
+    masks = [m for m, _ in series.items()]
+    assert [masks[i] for i in order] == expected
+    assert msb.tolist() == [-1, 0, 1, 64, 130, 130, 130]
 
 
 def test_embed():
     series = u.WalshSeries(1, {1: 0.4})
     moved = u.embed(series, [3], 4)
-    assert moved.terms == {8: 0.4}
+    assert moved.items() == [(8, 0.4)]
     same = u.embed(u.WalshSeries(2, {1: 0.1, 3: 0.2}), [0, 1], 2)
-    assert same.terms == {1: 0.1, 3: 0.2}
+    assert same.items() == [(1, 0.1), (3, 0.2)]
     with pytest.raises(ValueError, match="collision"):
         u.embed(u.WalshSeries(2, {3: 1.0}), [1, 1], 3)
     with pytest.raises(ValueError):
@@ -139,13 +149,13 @@ def test_embed_matches_bitwise_reference(rng):
         positions = [int(p) for p in rng.choice(width, size=n, replace=False)]
         series = random_series(rng, n, density=min(1.0, 300 / (1 << n)))
         expected = {}
-        for mask, coeff in series.terms.items():
+        for mask, coeff in series.items():
             new = 0
             for i in range(n):
                 if (mask >> i) & 1:
                     new |= 1 << positions[i]
             expected[new] = coeff
-        assert list(u.embed(series, positions, width).terms.items()) == list(expected.items())
+        assert u.embed(series, positions, width).items() == sorted(expected.items())
 
 
 @st.composite
@@ -193,7 +203,7 @@ def test_merge_union_and_cancellation():
     a = u.WalshSeries(3, {1: 0.5, 2: 0.25})
     b = u.WalshSeries(3, {4: 1.0})
     merged = u.merge([a, b])
-    assert merged.terms == {1: 0.5, 2: 0.25, 4: 1.0}
+    assert merged.items() == [(1, 0.5), (2, 0.25), (4, 1.0)]
     cancelled = u.merge([u.WalshSeries(2, {3: 0.7}), u.WalshSeries(2, {3: -0.7})])
     assert len(cancelled) == 0
     with pytest.raises(ValueError, match="mismatch"):
@@ -210,7 +220,7 @@ def test_merge_shared_masks_of_overlapping_cosines():
     assert len(local) == 1 << (2 * n_q)  # generic grid: all coefficients survive
     first = u.embed(local, u.embed_positions([0, 1], n_q), 3 * n_q)
     second = u.embed(local, u.embed_positions([1, 2], n_q), 3 * n_q)
-    shared = set(first.terms) & set(second.terms)
+    shared = set(dict(first.items())) & set(dict(second.items()))
     assert len(shared) == 1 << n_q
     merged = u.merge([first, second])
     assert len(merged) == 2 * (1 << (2 * n_q)) - (1 << n_q)
@@ -219,15 +229,15 @@ def test_merge_shared_masks_of_overlapping_cosines():
 def test_threshold_truncate():
     series = u.fwt(u.DiagonalValues(2, _cos_grid_values()))
     same, dropped = u.threshold_truncate(series, 0.0)
-    assert same.terms == series.terms and dropped == 0
+    assert same.items() == series.items() and dropped == 0
     empty, dropped = u.threshold_truncate(series, 3.0)
     assert len(empty) == 0 and dropped == 4
     # cutoff just above twice the 1.10e-2 magnitudes: only the identity stays
     kept, dropped = u.threshold_truncate(series, 2.3e-2)
-    assert set(kept.terms) == {0} and dropped == 3
+    assert [m for m, _ in kept.items()] == [0] and dropped == 3
     # boundary is inclusive: |a| == theta/2 survives
     kept, dropped = u.threshold_truncate(u.WalshSeries(1, {1: 0.5}), 1.0)
-    assert kept.terms == {1: 0.5} and dropped == 0
+    assert kept.items() == [(1, 0.5)] and dropped == 0
     for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError):
             u.threshold_truncate(series, bad)
@@ -241,9 +251,10 @@ def test_merge_before_truncate_property(rng):
         merged = u.merge([a, b])
         theta = float(rng.uniform(0, 0.2))
         kept, _ = u.threshold_truncate(merged, theta)
-        for mask, coeff in merged.terms.items():
+        kept_masks = {m for m, _ in kept.items()}
+        for mask, coeff in merged.items():
             if abs(coeff) >= theta / 2:
-                assert mask in kept.terms
+                assert mask in kept_masks
 
 
 def test_l1_norm():
