@@ -9,13 +9,15 @@ Subcommands
     evolve           |<U(t)>|^2 across a coupling grid per (dt, theta) choice
     export           one Trotter step as OpenQASM 2.0
 
-Every run is deterministic; tables carry the resolved configuration in their
-header so outputs are reproducible byte for byte.  Tables built on dense
-eigensolvers (spectrum, plaquette) are byte-reproducible only at a fixed BLAS
-thread count (e.g. OPENBLAS_NUM_THREADS=1): the thread count changes the
-eigensolver's rounding.  Values may come from a
-JSON config file (--config) keyed by flag name; its values are read as flag
-text (lists joined by commas) and explicit command-line flags win.
+Each subcommand takes only the flags it reads (`_COMMANDS`), and the parser
+holds their defaults; any other flag is rejected.  Every run is
+deterministic; tables carry the resolved configuration in their header so
+outputs are reproducible byte for byte.  Tables built on dense eigensolvers
+(spectrum, plaquette) are byte-reproducible only at a fixed BLAS thread count
+(e.g. OPENBLAS_NUM_THREADS=1): the thread count changes the eigensolver's
+rounding.  Values may come from a JSON config file (--config) keyed by the
+subcommand's flag names; its values are read as flag text (lists joined by
+commas) and explicit command-line flags win.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from . import __version__
 from .circuits import export_qasm, gate_count, sequency_gate_counts
 from .hamiltonian import (
     DENSE_LIMIT_QUBITS,
+    TERM_LIMIT_QUBITS,
     CosineTerm,
     build_model,
     dense_matrix,
@@ -90,17 +93,24 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _parse_ints(text: str) -> list[int]:
-    """Comma list ("2,3,4") or inclusive range ("2:6")."""
+    """Comma list ("2,3,4") or inclusive range ("2:6") of positive counts."""
     if ":" in text:
         lo, hi = (int(v) for v in text.split(":"))
         if hi < lo:
             raise argparse.ArgumentTypeError(f"range {text!r} is empty")
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+        values = list(range(lo, hi + 1))
+    else:
+        values = [int(v) for v in text.split(",")]
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive counts, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected one positive integer, got {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive count, got {text!r}")
     return value
@@ -175,18 +185,12 @@ def _meta(command: str, config: dict) -> dict:
 
 
 def _resolve_weave(args, n_p):
-    if getattr(args, "weave", None):
+    if args.weave:
         return load_weave(args.weave)
     try:
         return builtin_weave(n_p)
     except WeaveUnavailableError:
         return None
-
-
-def _theta_policy(args) -> ThetaPolicy:
-    mode = args.theta_min_policy or "abs"
-    value = args.theta_min if args.theta_min is not None else 0.0
-    return ThetaPolicy(mode, value)
 
 
 def _model(lattice, n_q, g, formulation, basis, weave):
@@ -199,18 +203,13 @@ def _model(lattice, n_q, g, formulation, basis, weave):
 
 
 def cmd_spectrum(args) -> int:
-    lattice = args.lattice
-    nq_list = args.nq
-    formulation = args.formulation or "non-compact"
-    basis = args.basis or "original"
+    lattice, nq_list, formulation, basis, levels = (
+        args.lattice, args.nq, args.formulation, args.basis, args.levels)
     weave = _resolve_weave(args, lattice.n_p) if basis == "weaved" else None
-    levels = args.levels or 10
-    limit = args.dense_limit or DENSE_LIMIT_QUBITS
-    g = args.g if args.g is not None else 0.5
 
     def lowest(n_q):
-        model = _model(lattice, n_q, g, formulation, basis, weave)
-        vals = np.linalg.eigvalsh(dense_matrix(model, limit))
+        model = _model(lattice, n_q, args.g, formulation, basis, weave)
+        vals = np.linalg.eigvalsh(dense_matrix(model, args.dense_limit))
         return vals[:levels]
 
     if formulation == "compact" and len(set(nq_list)) < 2:
@@ -236,13 +235,13 @@ def cmd_spectrum(args) -> int:
                 (n_q, level, float(vals[level]), float(ref), abs(vals[level] - ref) / abs(ref))
             )
     config = dict(
-        lattice=f"{lattice.n_x}x{lattice.n_y}", nq=nq_list, g=g, formulation=formulation,
+        lattice=f"{lattice.n_x}x{lattice.n_y}", nq=nq_list, g=args.g, formulation=formulation,
         basis=basis, levels=levels, weave=args.weave,
     )
     write_table(
         _meta("spectrum", config),
         ["n_q", "level", "energy", "reference", "rel_error"],
-        rows, args.format or "csv", args.out,
+        rows, args.format, args.out,
     )
     return 0
 
@@ -272,17 +271,13 @@ def plaquette_point(lattice, n_q, g, weave, limit, scan=False):
 
 
 def cmd_plaquette(args) -> int:
-    lattice = args.lattice
-    n_q = args.nq[0] if args.nq else 3
-    gs = args.g_grid if args.g_grid is not None else np.geomspace(0.01, 10.0, 20)
+    lattice, n_q, gs, scan = args.lattice, args.nq, args.g_grid, args.scan_bmax
     weave = _resolve_weave(args, lattice.n_p)
     if weave is None:
         raise SystemExit("plaquette comparison needs a weave; pass --weave for this n_p")
-    limit = args.dense_limit or DENSE_LIMIT_QUBITS
-    scan = bool(args.scan_bmax)
 
     points = _pmap(
-        lambda g: plaquette_point(lattice, n_q, float(g), weave, limit, scan),
+        lambda g: plaquette_point(lattice, n_q, float(g), weave, args.dense_limit, scan),
         gs, args.workers,
     )
     columns = ["g", "plaquette_original", "plaquette_weaved", "ratio"]
@@ -295,7 +290,7 @@ def cmd_plaquette(args) -> int:
     ]
     config = dict(lattice=f"{lattice.n_x}x{lattice.n_y}", nq=n_q, g_grid=list(map(float, gs)),
                   scan_bmax=scan, weave=args.weave)
-    write_table(_meta("plaquette", config), columns, rows, args.format or "csv", args.out)
+    write_table(_meta("plaquette", config), columns, rows, args.format, args.out)
     return 0
 
 
@@ -339,34 +334,27 @@ def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy
     return counts["rz"], counts["cx"]
 
 
-def cmd_gatecount(args) -> int:
-    axis = args.axis or "theta"
-    term = args.term or "magnetic"
-    basis = args.basis or "original"
-    formulation = args.formulation or "compact"
-    n_q = args.nq[0] if args.nq else 2
-    g = args.g if args.g is not None else 0.1
-    dt = args.dt if args.dt is not None else 1.0
-    order = args.order or 1
-    lattice = args.lattice
-    n_p = args.np[0] if args.np else (lattice.n_p if lattice else 3)
-    theta = _theta_policy(args)
+def _fixed(values, flag, axis, default):
+    """The value of list flag `flag` off the sweep axis (on it, its first point)."""
+    if values is None:
+        return default
+    if len(values) > 1 and axis != flag:
+        raise SystemExit(f"--{flag} takes one value unless --axis is {flag}")
+    return values[0]
 
-    if axis == "np":
-        values = args.np or _parse_ints("2:6")
-    elif axis == "nq":
-        values = args.nq or _parse_ints("1:8")
-    elif axis == "g":
-        values = list(map(float, args.g_grid if args.g_grid is not None else np.geomspace(0.1, 10, 15)))
-    elif axis == "theta":
-        values = args.theta_grid or [2.0**-k for k in range(0, 13)]
-    else:
-        raise SystemExit(f"unknown axis {axis!r}")
+
+def cmd_gatecount(args) -> int:
+    axis, lattice, dt = args.axis, args.lattice, args.dt
+    n_q = _fixed(args.nq, "nq", axis, 2)
+    n_p = _fixed(args.np, "np", axis, lattice.n_p if lattice else 3)
+    theta = ThetaPolicy(args.theta_min_policy, args.theta_min)
+    values = {"np": args.np or list(range(2, 7)), "nq": args.nq or list(range(1, 9)),
+              "g": list(map(float, args.g_grid)), "theta": args.theta_grid}[axis]
 
     def point(v):
-        kw = dict(term=term, lattice=lattice, n_p=n_p, n_q=n_q, g=g, basis=basis,
-                  weave=_resolve_weave(args, n_p), theta=theta, dt=dt, order=order,
-                  formulation=formulation)
+        kw = dict(term=args.term, lattice=lattice, n_p=n_p, n_q=n_q, g=args.g, basis=args.basis,
+                  weave=_resolve_weave(args, n_p), theta=theta, dt=dt, order=args.order,
+                  formulation=args.formulation)
         if axis == "np":
             kw["n_p"] = int(v)
             kw["weave"] = _resolve_weave(args, int(v))
@@ -384,11 +372,12 @@ def cmd_gatecount(args) -> int:
         theta_res = (ThetaPolicy(theta.mode, float(v)) if axis == "theta" else theta).resolve(dt)
         t_per_rz = 1.15 * math.log2(1.0 / theta_res) if theta_res > 0 else None
         rows.append((v, rz, cx, t_per_rz))
-    config = dict(axis=axis, term=term, basis=basis, formulation=formulation, nq=n_q, np=n_p,
-                  g=g, dt=dt, order=order, theta_min=theta.value, theta_min_policy=theta.mode,
+    config = dict(axis=axis, term=args.term, basis=args.basis, formulation=args.formulation,
+                  nq=n_q, np=n_p, g=args.g, dt=dt, order=args.order, theta_min=theta.value,
+                  theta_min_policy=theta.mode,
                   lattice=f"{lattice.n_x}x{lattice.n_y}" if lattice else None, weave=args.weave)
     write_table(_meta("gatecount", config), [axis, "rz", "cnot", "t_per_rz_estimate"],
-                rows, args.format or "csv", args.out)
+                rows, args.format, args.out)
     return 0
 
 
@@ -397,29 +386,23 @@ def cmd_gatecount(args) -> int:
 
 
 def cmd_l1(args) -> int:
-    nq_list = args.nq or [2, 3]
-    np_list = args.np
-    limit = args.qubit_limit or 16
+    limit, g = args.qubit_limit, args.g
     b_max = args.bmax_over_pi * math.pi if args.bmax_over_pi is not None else None
-    g = args.g if args.g is not None else 0.1
     rows = []
-    for n_q in nq_list:
-        candidates = np_list or list(range(1, limit // n_q + 1))
-        for n_p in candidates:
-            n = n_p * n_q
-            if n > limit:
-                continue
+    for n_q in args.nq:
+        for n_p in args.np or range(1, limit // n_q + 1):
             if b_max is None:
                 d = digitize(n_p, n_q, g, "compact")
             else:
                 d = Digitization(n_q, g, np.full(n_p, b_max), "compact", "original")
             # the term's own series: embedding moves masks, not coefficients
-            val = l1_norm(term_series(_bare_cosine(n_p, g), d, 1.0))
+            val = l1_norm(term_series(_bare_cosine(n_p, g), d, 1.0, min(limit, TERM_LIMIT_QUBITS)))
+            n = n_p * n_q
             rows.append((n_q, n_p, n, val, 2.0 ** ((n - 5) / 4.0)))
-    config = dict(nq=nq_list, np=np_list, qubit_limit=limit,
+    config = dict(nq=args.nq, np=args.np, qubit_limit=limit,
                   bmax_over_pi=args.bmax_over_pi, g=g)
     write_table(_meta("l1", config), ["n_q", "n_p", "n_qubits", "l1_norm", "growth_reference"],
-                rows, args.format or "csv", args.out)
+                rows, args.format, args.out)
     return 0
 
 
@@ -428,18 +411,15 @@ def cmd_l1(args) -> int:
 
 
 def cmd_product_scaling(args) -> int:
-    n_q = args.nq[0] if args.nq else 2
-    np_max = args.np[-1] if args.np else 8
-    g = args.g if args.g is not None else 0.1
-    study = product_scaling_study(n_q, np_max, g)
+    study = product_scaling_study(args.nq, args.np, args.g)
     rows = [
         (theta,) + tuple(float(b) for b in fit_row)
         for theta, fit_row in zip(study["thetas"], study["fit"])
     ]
-    config = dict(nq=n_q, np_max=np_max, g=g, a2=study["a2"],
+    config = dict(nq=args.nq, np_max=args.np, g=args.g, a2=study["a2"],
                   transitions={str(r): v for r, v in study["transitions"].items()})
-    columns = ["theta_min"] + [f"b_{k}" for k in range(np_max)]
-    write_table(_meta("product-scaling", config), columns, rows, args.format or "csv", args.out)
+    columns = ["theta_min"] + [f"b_{k}" for k in range(args.np)]
+    write_table(_meta("product-scaling", config), columns, rows, args.format, args.out)
     return 0
 
 
@@ -448,19 +428,11 @@ def cmd_product_scaling(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    lattice = args.lattice
-    n_q = args.nq[0] if args.nq else 1
-    basis = args.basis or "original"
-    formulation = args.formulation or "compact"
+    lattice, basis, gs, t = args.lattice, args.basis, args.g_grid, args.t
+    dts, kappas, mode = args.dt_list, args.theta_list, args.theta_min_policy
     weave = _resolve_weave(args, lattice.n_p) if basis == "weaved" else None
     if basis == "weaved" and weave is None:
         raise SystemExit("weaved evolution needs --weave for this n_p")
-    gs = args.g_grid if args.g_grid is not None else np.geomspace(0.1, 10.0, 15)
-    t = args.t if args.t is not None else 0.2
-    order = args.order or 1
-    dts = args.dt_list or ([args.dt] if args.dt is not None else [0.2])
-    kappas = args.theta_list or ([args.theta_min] if args.theta_min is not None else [0.0])
-    mode = args.theta_min_policy or "dt"
 
     points = [(float(g), float(dt), float(kappa)) for g in gs for dt in dts for kappa in kappas]
     if not 0 <= t < math.inf:
@@ -475,19 +447,19 @@ def cmd_evolve(args) -> int:
 
     def run(point):
         g, dt, kappa = point
-        model = _model(lattice, n_q, g, formulation, basis, weave)
+        model = _model(lattice, args.nq, g, args.formulation, basis, weave)
         policy = ThetaPolicy(mode, kappa)
-        plan = TrotterPlan(order, dt, steps[dt], policy, policy)
+        plan = TrotterPlan(args.order, dt, steps[dt], policy, policy)
         return loschmidt(model, plan)
 
     values = _pmap(run, points, args.workers)
     rows = [(g, dt, kappa, mode, v) for (g, dt, kappa), v in zip(points, values)]
-    config = dict(lattice=f"{lattice.n_x}x{lattice.n_y}", nq=n_q, basis=basis,
-                  formulation=formulation, t=t, order=order, dt=dts, theta_min=kappas,
+    config = dict(lattice=f"{lattice.n_x}x{lattice.n_y}", nq=args.nq, basis=basis,
+                  formulation=args.formulation, t=t, order=args.order, dt=dts, theta_min=kappas,
                   theta_min_policy=mode, g_grid=list(map(float, gs)), weave=args.weave)
     write_table(_meta("evolve", config),
                 ["g", "dt", "theta_min", "theta_policy", "survival"],
-                rows, args.format or "csv", args.out)
+                rows, args.format, args.out)
     return 0
 
 
@@ -496,17 +468,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    lattice = args.lattice
-    n_q = args.nq[0] if args.nq else 2
-    g = args.g if args.g is not None else 0.5
-    basis = args.basis or "original"
-    formulation = args.formulation or "compact"
-    weave = _resolve_weave(args, lattice.n_p) if basis == "weaved" else None
-    dt = args.dt if args.dt is not None else 0.1
-    order = args.order or 1
-    theta = _theta_policy(args)
-    model = _model(lattice, n_q, g, formulation, basis, weave)
-    plan = TrotterPlan(order, dt, 1, theta, theta)
+    weave = _resolve_weave(args, args.lattice.n_p) if args.basis == "weaved" else None
+    theta = ThetaPolicy(args.theta_min_policy, args.theta_min)
+    model = _model(args.lattice, args.nq, args.g, args.formulation, args.basis, weave)
+    plan = TrotterPlan(args.order, args.dt, 1, theta, theta)
     circ = step_circuit(model, plan)
     text = export_qasm(circ, None if args.out in (None, "-") else args.out)
     if args.out in (None, "-"):
@@ -517,6 +482,74 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# Every flag once, as add_argument keywords; "flag" names the option string
+# when it differs from "--" + the key (the list forms of --nq and --np).
+_FLAGS = dict(
+    config=dict(metavar="FILE", help="JSON object of this subcommand's flag values"),
+    lattice=dict(type=_parse_lattice, metavar="NxM", help="periodic lattice, e.g. 2x2"),
+    nq=dict(type=_positive_int, help="qubits per plaquette"),
+    nqs=dict(flag="--nq", type=_parse_ints, help="qubits per plaquette (list 2,3 or range 2:6)"),
+    np=dict(type=_positive_int, help="plaquette count"),
+    nps=dict(flag="--np", type=_parse_ints, help="plaquette counts (list or range)"),
+    g=dict(type=float, help="coupling"),
+    g_grid=dict(type=_parse_grid, help="coupling grid start:stop:count[:log|lin]"),
+    formulation=dict(choices=["compact", "non-compact"]),
+    basis=dict(choices=["original", "weaved"]),
+    weave=dict(metavar="FILE", help="JSON weave matrix file"),
+    theta_min=dict(type=float, help="cutoff value (kappa under dt policies)"),
+    theta_min_policy=dict(choices=["abs", "dt", "dt2"]),
+    theta_grid=dict(type=_parse_floats, help="cutoffs for --axis theta (comma list)"),
+    theta_list=dict(type=_parse_floats, help="cutoff values (comma list)"),
+    dt=dict(type=float, help="Trotter step size"),
+    dt_list=dict(type=_parse_floats, help="step sizes (comma list)"),
+    t=dict(type=float, help="total evolution time"),
+    order=dict(type=int, choices=[1, 2]),
+    axis=dict(choices=["np", "nq", "g", "theta"]),
+    term=dict(choices=["magnetic", "maximal", "cosine", "electric", "step"]),
+    levels=dict(type=_positive_int, help="number of eigenvalues"),
+    dense_limit=dict(type=_positive_int, help="dense diagonalization qubit cap"),
+    qubit_limit=dict(type=_positive_int, help="largest register to transform"),
+    bmax_over_pi=dict(type=float, help="fixed half-width as a fraction of pi"),
+    scan_bmax=dict(action="store_true", help="scan a width scale per coupling"),
+    format=dict(choices=["csv", "json"]),
+    out=dict(help="output path (default stdout)"),
+    workers=dict(type=int, help="sweep worker threads"),
+)
+
+
+# default of a flag that its subcommand cannot run without; main rejects it if still unset
+_REQUIRED = object()
+
+# Each subcommand's flags and their defaults; a string default is parsed as flag text.
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "digitized spectra vs reference", dict(
+        lattice=_REQUIRED, nqs=_REQUIRED, g=0.5, formulation="non-compact", basis="original",
+        weave=None, levels=10, dense_limit=DENSE_LIMIT_QUBITS,
+        format="csv", out=None, workers=1, config=None)),
+    "plaquette": (cmd_plaquette, "plaquette expectation across couplings", dict(
+        lattice=_REQUIRED, nq=3, g_grid="0.01:10:20:log", weave=None,
+        dense_limit=DENSE_LIMIT_QUBITS, scan_bmax=False,
+        format="csv", out=None, workers=1, config=None)),
+    "gatecount": (cmd_gatecount, "gate counts along a sweep axis", dict(
+        axis="theta", term="magnetic", lattice=None, nqs=None, nps=None, g=0.1,
+        g_grid="0.1:10:15:log", theta_grid=[2.0**-k for k in range(13)],
+        formulation="compact", basis="original", weave=None, dt=1.0, order=1, theta_min=0.0,
+        theta_min_policy="abs", format="csv", out=None, workers=1, config=None)),
+    "l1": (cmd_l1, "L1 norm of the maximally coupled cosine", dict(
+        nqs="2,3", nps=None, g=0.1, bmax_over_pi=None, qubit_limit=16,
+        format="csv", out=None, workers=1, config=None)),
+    "product-scaling": (cmd_product_scaling, "CNOT scaling fits for repeated cosine products",
+                        dict(nq=2, np=8, g=0.1, format="csv", out=None, workers=1, config=None)),
+    "evolve": (cmd_evolve, "survival amplitude across couplings", dict(
+        lattice=_REQUIRED, nq=1, g_grid="0.1:10:15:log", formulation="compact",
+        basis="original", weave=None, t=0.2, order=1, dt_list="0.2", theta_list="0",
+        theta_min_policy="dt", format="csv", out=None, workers=1, config=None)),
+    "export": (cmd_export, "write one Trotter step as OpenQASM 2.0", dict(
+        lattice=_REQUIRED, nq=2, g=0.5, formulation="compact", basis="original", weave=None,
+        dt=0.1, order=1, theta_min=0.0, theta_min_policy="abs", out=None, workers=1,
+        config=None)),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -525,65 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"u1rotor {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--lattice", type=_parse_lattice, help="site counts, e.g. 2x2")
-        p.add_argument("--nq", type=_parse_ints, help="qubits per plaquette (list or range)")
-        p.add_argument("--np", type=_parse_ints, help="plaquette counts (list or range)")
-        p.add_argument("--g", type=float, help="coupling")
-        p.add_argument("--g-grid", type=_parse_grid, help="coupling grid start:stop:count[:log|lin]")
-        p.add_argument("--formulation", choices=["compact", "non-compact"])
-        p.add_argument("--basis", choices=["original", "weaved"])
-        p.add_argument("--weave", help="JSON weave matrix file")
-        p.add_argument("--theta-min", type=float, help="cutoff value (kappa under dt policies)")
-        p.add_argument("--theta-min-policy", choices=["abs", "dt", "dt2"])
-        p.add_argument("--dt", type=float, help="Trotter step size")
-        p.add_argument("--t", type=float, help="total evolution time")
-        p.add_argument("--order", type=int, choices=[1, 2])
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=1, help="sweep worker threads")
-        p.add_argument("--dense-limit", type=_positive_int, help="dense diagonalization qubit cap")
-
-    p = sub.add_parser("spectrum", help="digitized spectra vs reference")
-    common(p)
-    p.add_argument("--levels", type=_positive_int, help="number of eigenvalues (default 10)")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("plaquette", help="plaquette expectation across couplings")
-    common(p)
-    p.add_argument("--scan-bmax", action="store_true", help="scan a width scale per coupling")
-    p.set_defaults(func=cmd_plaquette)
-
-    p = sub.add_parser("gatecount", help="gate counts along a sweep axis")
-    common(p)
-    p.add_argument("--axis", choices=["np", "nq", "g", "theta"])
-    p.add_argument("--term", choices=["magnetic", "maximal", "cosine", "electric", "step"])
-    p.add_argument("--theta-grid", type=_parse_floats, help="cutoffs for --axis theta")
-    p.set_defaults(func=cmd_gatecount)
-
-    p = sub.add_parser("l1", help="L1 norm of the maximally coupled cosine")
-    common(p)
-    p.add_argument("--bmax-over-pi", type=float, help="fixed half-width as a fraction of pi")
-    p.add_argument("--qubit-limit", type=_positive_int,
-                   help="largest register to transform (default 16)")
-    p.set_defaults(func=cmd_l1)
-
-    p = sub.add_parser("product-scaling", help="CNOT scaling fits for repeated cosine products")
-    common(p)
-    p.set_defaults(func=cmd_product_scaling)
-
-    p = sub.add_parser("evolve", help="survival amplitude across couplings")
-    common(p)
-    p.add_argument("--dt-list", type=_parse_floats, help="step sizes (comma list)")
-    p.add_argument("--theta-list", type=_parse_floats, help="cutoff values (comma list)")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("export", help="write one Trotter step as OpenQASM 2.0")
-    common(p)
-    p.set_defaults(func=cmd_export)
-
+    for command, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name, default in flags.items():
+            spec = dict(_FLAGS[name])
+            flag = spec.pop("flag", "--" + name.replace("_", "-"))
+            p.add_argument(flag, default=default, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -596,7 +577,7 @@ def _config_argv(path, args: argparse.Namespace) -> list[str]:
     tokens = []
     for key, value in config.items():
         if not hasattr(args, key.replace("-", "_")):
-            raise SystemExit(f"config key {key!r} is not a known option")
+            raise SystemExit(f"config key {key!r} is not an option of {args.command}")
         flag = "--" + key.replace("_", "-")
         if value is True:
             tokens.append(flag)
@@ -616,6 +597,9 @@ def main(argv=None) -> int:
             # config flags go right after the subcommand, so explicit flags, parsed later, win
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_argv(args.config, args) + argv[at:])
+        missing = [key.replace("_", "-") for key, value in vars(args).items() if value is _REQUIRED]
+        if missing:
+            raise SystemExit(f"u1rotor {args.command}: --{missing[0]} is required")
         return args.func(args)
     except (ValueError, ResourceLimitError, OSError) as exc:
         raise SystemExit(f"u1rotor {args.command}: {exc}") from exc

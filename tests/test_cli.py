@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import u1rotor as u
-from u1rotor.cli import main
+from u1rotor.cli import build_parser, main
 
 
 def _read_csv(path):
@@ -320,8 +323,30 @@ def test_config_values_checked_like_flags(tmp_path, entry):
     # zero limits silently became the defaults 14 and 16
     ["spectrum", "--lattice", "2x2", "--nq", "1", "--levels", "4", "--dense-limit", "0"],
     ["l1", "--nq", "2", "--qubit-limit", "0"],
+    # without a lattice or widths these died in an AttributeError or a TypeError
+    ["spectrum", "--nq", "2"],
+    ["plaquette", "--nq", "2", "--g-grid", "1:1:1:lin"],
+    ["evolve", "--nq", "1", "--g-grid", "1:1:1:lin"],
+    ["export", "--nq", "1"],
+    ["spectrum", "--lattice", "2x2"],
+    # 18 qubits above --qubit-limit 16 were dropped, leaving a header-only table
+    ["l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"],
+    # single-valued flags silently kept one value of a list
+    ["plaquette", "--lattice", "2x2", "--nq", "2,3", "--g-grid", "1:1:1:lin"],
+    ["evolve", "--lattice", "2x2", "--nq", "1,2", "--g-grid", "1:1:1:lin"],
+    ["export", "--lattice", "2x2", "--nq", "1,2"],
+    ["product-scaling", "--nq", "2,9", "--np", "3,2"],
+    ["gatecount", "--axis", "theta", "--term", "cosine", "--nq", "2,3", "--theta-grid", "0"],
+    ["gatecount", "--axis", "nq", "--nq", "1:2", "--np", "2,3"],
+    # flags and config keys a subcommand does not read were accepted and ignored
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--dt", "0.1"],
+    ["l1", "--nq", "2", "--np", "1", "--lattice", "2x2"],
+    ["l1", "--nq", "2", "--np", "1", "--config", "{tmp}/lattice.json"],
+    # a zero width died in a ZeroDivisionError traceback
+    ["l1", "--nq", "0"],
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
+    (tmp_path / "lattice.json").write_text('{"lattice": "2x2"}')
     (tmp_path / "malformed.json").write_text('{"nq": ')
     (tmp_path / "list.json").write_text("[2, 3]")
     (tmp_path / "empty.json").write_text("{}")
@@ -331,3 +356,87 @@ def test_bad_input_exits_without_table(tmp_path, argv):
         main(argv + ["--out", str(out)])
     assert exc.value.code not in (0, None)
     assert not out.exists()
+
+
+def test_required_lattice_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lattice": "2x2"}))
+    from_config, from_flag = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["spectrum", "--config", str(cfg), "--nq", "1", "--levels", "4",
+                 "--out", str(from_config)]) == 0
+    main(["spectrum", "--lattice", "2x2", "--nq", "1", "--levels", "4", "--out", str(from_flag)])
+    assert from_config.read_text() == from_flag.read_text()
+
+
+# The `# config:` header of each subcommand run with its defaults, as written
+# before the parser held the defaults.
+DEFAULT_HEADERS = {
+    ("spectrum", "--lattice", "2x2", "--nq", "2"):
+        '{"basis": "original", "formulation": "non-compact", "g": 0.5, "lattice": "2x2", '
+        '"levels": 10, "nq": [2], "weave": null}',
+    ("plaquette", "--lattice", "2x2", "--nq", "2"):
+        '{"g_grid": [0.01, 0.01438449888287663, 0.0206913808111479, 0.029763514416313176, '
+        '0.04281332398719394, 0.06158482110660264, 0.08858667904100823, 0.12742749857031335, '
+        '0.18329807108324356, 0.26366508987303583, 0.37926901907322497, 0.5455594781168517, '
+        '0.7847599703514611, 1.1288378916846884, 1.623776739188721, 2.3357214690901213, '
+        '3.359818286283781, 4.832930238571752, 6.951927961775605, 10.0], "lattice": "2x2", '
+        '"nq": 2, "scan_bmax": false, "weave": null}',
+    ("gatecount",):
+        '{"axis": "theta", "basis": "original", "dt": 1.0, "formulation": "compact", "g": 0.1, '
+        '"lattice": null, "np": 3, "nq": 2, "order": 1, "term": "magnetic", "theta_min": 0.0, '
+        '"theta_min_policy": "abs", "weave": null}',
+    ("l1",):
+        '{"bmax_over_pi": null, "g": 0.1, "np": null, "nq": [2, 3], "qubit_limit": 16}',
+    ("product-scaling",):
+        '{"a2": 0.01102520386420755, "g": 0.1, "np_max": 8, "nq": 2, "transitions": '
+        '{"1": {"fitted": 0.02209708691207961, "predicted": 0.0220504077284151}, '
+        '"2": {"fitted": 0.00017263349150062197, "predicted": 0.0002431102404946742}, '
+        '"3": {"fitted": 2.6973983046972182e-06, "predicted": 2.6803399629303085e-06}, '
+        '"4": {"fitted": 2.1073424255447017e-08, "predicted": 2.955129451668916e-08}, '
+        '"5": {"fitted": 3.2927225399135965e-10, "predicted": 3.258090464977367e-10}}}',
+    ("evolve", "--lattice", "2x2"):
+        '{"basis": "original", "dt": [0.2], "formulation": "compact", "g_grid": [0.1, '
+        '0.13894954943731375, 0.193069772888325, 0.2682695795279726, 0.372759372031494, '
+        '0.517947467923121, 0.7196856730011519, 1.0, 1.3894954943731375, 1.9306977288832496, '
+        '2.6826957952797246, 3.72759372031494, 5.17947467923121, 7.196856730011517, 10.0], '
+        '"lattice": "2x2", "nq": 1, "order": 1, "t": 0.2, "theta_min": [0.0], '
+        '"theta_min_policy": "dt", "weave": null}',
+}
+
+
+@pytest.mark.parametrize("argv", list(DEFAULT_HEADERS), ids=lambda argv: argv[0])
+def test_defaults_did_not_move(tmp_path, argv):
+    out = tmp_path / "table.csv"
+    main(list(argv) + ["--out", str(out)])
+    meta, _, _ = _read_csv(out)
+    assert meta[2] == "# config: " + DEFAULT_HEADERS[argv]
+
+
+def test_export_defaults_did_not_move(tmp_path):
+    implicit, explicit = tmp_path / "a.qasm", tmp_path / "b.qasm"
+    main(["export", "--lattice", "2x2", "--out", str(implicit)])
+    main(["export", "--lattice", "2x2", "--nq", "2", "--g", "0.5", "--formulation", "compact",
+          "--basis", "original", "--dt", "0.1", "--order", "1", "--theta-min", "0",
+          "--theta-min-policy", "abs", "--out", str(explicit)])
+    assert implicit.read_bytes() == explicit.read_bytes()
+
+
+def _subcommand_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_lists_each_subcommands_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented, current = {}, None
+    for line in readme.splitlines():
+        item = re.match(r"- `([a-z0-9-]+)`: ", line)
+        if item:
+            current = documented.setdefault(item.group(1), set())
+        elif not line.startswith("  "):
+            current = None
+        if current is not None:
+            current.update(re.findall(r"`(--[a-z0-9-]+)", line))
+    assert documented == _subcommand_flags()
