@@ -11,21 +11,35 @@ the end.  A full series over n qubits then costs exactly 2^n - 1 Rz and
 
 The identity coefficient (mask 0) is a global phase; it is recorded on the
 circuit and never becomes a gate.
+
+A `Circuit` is one gate table: parallel columns ``kind`` (uint8 index into
+`GATE_NAMES`), ``q0``, ``q1`` (-1 for one-qubit gates) and ``angle`` (NaN for
+angle-free gates), plus ``width`` and ``global_phase``.  `exact_circuit`
+writes the columns straight from the sequency walk; concatenation, shifting,
+reversal, `gate_count` and `export_qasm` work on whole columns, and every
+constructor validates the table.  The one-gate methods (`Circuit.rz`, ...)
+copy the table on each call and suit small hand-built circuits.
+``circuit.gates`` is a read-only `GateView`: its length costs O(1), its items
+are `Gate` values built on demand, and ``==`` compares columns with another
+view or gates with a list.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .walsh import WalshSeries, sequency_order, threshold_truncate
 
-# gate kind -> (qubit count, takes an angle)
+# gate kind -> (qubit count, takes an angle); a kind column holds indices into GATE_NAMES
 GATE_FORMS = {"rz": (1, True), "cx": (2, False), "h": (1, False), "cu1": (2, True), "swap": (2, False)}
 GATE_NAMES = tuple(GATE_FORMS)
+RZ, CX, H, CU1, SWAP = range(len(GATE_NAMES))
+_TWO_QUBIT = np.array([arity == 2 for arity, _ in GATE_FORMS.values()])
+_ANGLED = np.array([angled for _, angled in GATE_FORMS.values()])
 
 
 @dataclass(frozen=True)
@@ -43,58 +57,129 @@ class Gate:
             raise ValueError(f"non-finite angle {self.angle} in {self.name} gate")
 
 
-@dataclass
+def table_error(width: int, kind, q0, q1, angle) -> tuple[int, str] | None:
+    """(row, problem) of the first rule a gate table breaks, or None when it is valid.
+
+    ``width`` is the register width, or an array of one width per row.
+    """
+    known = (0 <= kind) & (kind < len(GATE_NAMES))
+    k = np.where(known, kind, 0)
+    rules = (
+        (known & ((q1 != -1) == _TWO_QUBIT[k]) & (np.isnan(angle) != _ANGLED[k]),
+         "malformed gate (unknown kind, wrong arity or angle)"),
+        (~np.isinf(angle), "non-finite angle"),
+        ((0 <= q0) & (q0 < width) & ((q1 == -1) | (0 <= q1) & (q1 < width)),
+         "qubit outside the register"),
+        (q0 != q1, "repeated qubit"),
+    )
+    for ok, problem in rules:
+        if not ok.all():
+            return int(np.argmin(ok)), problem
+    return None
+
+
+class GateView(Sequence):
+    """Read-only sequence of `Gate` values over a circuit's gate table (see the module docstring)."""
+
+    def __init__(self, circuit: "Circuit"):
+        self._circuit = circuit
+
+    def __len__(self) -> int:
+        return len(self._circuit.kind)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        return _gate(*(col[index].item() for col in self._circuit.columns()))
+
+    def __iter__(self):
+        return map(_gate, *(col.tolist() for col in self._circuit.columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, GateView):
+            pairs = zip(self._circuit.columns(), other._circuit.columns())
+            return all(np.array_equal(a, b, equal_nan=True) for a, b in pairs)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _gate(kind: int, q0: int, q1: int, angle: float) -> Gate:
+    return Gate(GATE_NAMES[kind], (q0,) if q1 < 0 else (q0, q1), None if math.isnan(angle) else angle)
+
+
 class Circuit:
-    """Ordered gate list over a flat register, plus accumulated global phase."""
+    """One validated gate table over a flat register, plus the accumulated global phase."""
 
-    width: int
-    gates: list[Gate] = field(default_factory=list)
-    global_phase: float = 0.0
+    def __init__(self, width: int, gates=(), global_phase: float = 0.0):
+        self.width, self.global_phase = width, global_phase
+        rows = [(GATE_NAMES.index(g.name), g.qubits[0], (g.qubits + (-1,))[1],
+                 math.nan if g.angle is None else g.angle) for g in gates]
+        self._set(*(zip(*rows) if rows else [()] * 4))
 
-    def _check(self, *qubits: int) -> None:
-        for q in qubits:
-            if not 0 <= q < self.width:
-                raise ValueError(f"qubit {q} outside register of width {self.width}")
+    @classmethod
+    def from_columns(cls, width: int, kind, q0, q1, angle, global_phase: float = 0.0) -> "Circuit":
+        out = cls(width, global_phase=global_phase)
+        out._set(kind, q0, q1, angle)
+        return out
+
+    def _set(self, kind, *columns) -> None:
+        kind = np.asarray(kind, np.int64)  # checked before the uint8 cast, which would wrap 256 to 0
+        columns = [np.asarray(c, t) for c, t in zip(columns, (np.int64, np.int64, float))]
+        error = table_error(self.width, kind, *columns)
+        if error is not None:
+            raise ValueError(f"{error[1]} in gate {error[0]}")
+        self.kind, (self.q0, self.q1, self.angle) = kind.astype(np.uint8), columns
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.kind, self.q0, self.q1, self.angle
+
+    @property
+    def gates(self) -> GateView:
+        return GateView(self)
+
+    def __repr__(self) -> str:
+        return (f"Circuit(width={self.width!r}, gates={self.gates!r}, "
+                f"global_phase={self.global_phase!r})")
+
+    def _concat(self, other: "Circuit") -> None:
+        pairs = zip(self.columns(), other.columns())
+        self.kind, self.q0, self.q1, self.angle = map(np.concatenate, pairs)
+
+    def _add(self, kind: int, q0: int, q1: int = -1, angle: float = math.nan) -> None:
+        self._concat(Circuit.from_columns(self.width, [kind], [q0], [q1], [angle]))
 
     def rz(self, angle: float, q: int) -> None:
-        self._check(q)
-        self.gates.append(Gate("rz", (q,), float(angle)))
+        self._add(RZ, q, angle=float(angle))
 
     def cx(self, control: int, target: int) -> None:
-        self._check(control, target)
-        self.gates.append(Gate("cx", (control, target)))
+        self._add(CX, control, target)
 
     def h(self, q: int) -> None:
-        self._check(q)
-        self.gates.append(Gate("h", (q,)))
+        self._add(H, q)
 
     def cu1(self, angle: float, control: int, target: int) -> None:
-        self._check(control, target)
-        self.gates.append(Gate("cu1", (control, target), float(angle)))
+        self._add(CU1, control, target, float(angle))
 
     def swap(self, a: int, b: int) -> None:
-        self._check(a, b)
-        self.gates.append(Gate("swap", (a, b)))
+        self._add(SWAP, a, b)
 
     def extend(self, other: "Circuit") -> None:
         if other.width != self.width:
             raise ValueError("register width mismatch")
-        self.gates.extend(other.gates)
+        self._concat(other)
         self.global_phase += other.global_phase
 
     def shifted(self, offset: int, width: int) -> "Circuit":
         """Copy of this circuit acting on qubits offset..offset+width-1 of a wider register."""
-        out = Circuit(width, global_phase=self.global_phase)
-        for g in self.gates:
-            out.gates.append(replace(g, qubits=tuple(q + offset for q in g.qubits)))
-        out._check(*(q for g in out.gates for q in g.qubits))
-        return out
+        q1 = np.where(self.q1 < 0, -1, self.q1 + offset)
+        return Circuit.from_columns(width, self.kind, self.q0 + offset, q1, self.angle,
+                                    self.global_phase)
 
     def dagger(self) -> "Circuit":
-        out = Circuit(self.width, global_phase=-self.global_phase)
-        for g in reversed(self.gates):
-            out.gates.append(g if g.angle is None else replace(g, angle=-g.angle))
-        return out
+        kind, q0, q1, angle = (col[::-1] for col in self.columns())
+        return Circuit.from_columns(self.width, kind, q0, q1, -angle, -self.global_phase)
 
 
 def exp_walsh(mask: int, coeff: float, n: int) -> Circuit:
@@ -159,13 +244,10 @@ def exact_circuit(series: WalshSeries) -> Circuit:
     control = np.concatenate([load_bit, np.full(len(msb), -1), unload_bit[::-1]])
     order = np.argsort(row, kind="stable")
     row, control = row[order], control[order]
-    angles = (-2.0 * coeffs).tolist()
-    circ = Circuit(series.n, global_phase=series.coefficient(0))
-    circ.gates = [
-        Gate("cx", (c, t)) if c >= 0 else Gate("rz", (t,), angles[k])
-        for k, c, t in zip(row.tolist(), control.tolist(), msb[row].tolist())
-    ]
-    return circ
+    rz, target = control < 0, msb[row]
+    return Circuit.from_columns(
+        series.n, np.where(rz, RZ, CX), np.where(rz, target, control), np.where(rz, -1, target),
+        np.where(rz, -2.0 * coeffs[row], np.nan), series.coefficient(0))
 
 
 def truncated_circuit(series: WalshSeries, theta_min: float) -> Circuit:
@@ -240,8 +322,7 @@ def sequency_gate_counts(series: WalshSeries, theta_min: float = 0.0) -> dict[st
 
 def gate_count(circuit: Circuit) -> dict[str, int]:
     """Multiset gate count by kind (all kinds present, zeros included)."""
-    counts = Counter(g.name for g in circuit.gates)
-    return {name: counts.get(name, 0) for name in GATE_NAMES}
+    return dict(zip(GATE_NAMES, np.bincount(circuit.kind, minlength=len(GATE_NAMES)).tolist()))
 
 
 def qft_circuit(n: int) -> Circuit:
@@ -262,27 +343,27 @@ def qft_circuit(n: int) -> Circuit:
     return circ
 
 
+# one QASM line per gate kind, and which of (angle, q0, q1) it formats
+_QASM_LINES = np.array([f"{name}{'(%.17g)' * angled} q[%d]{',q[%d]' * (arity - 1)};\n"
+                        for name, (arity, angled) in GATE_FORMS.items()], dtype=object)
+_QASM_FIELDS = np.column_stack([_ANGLED, np.ones_like(_ANGLED), _TWO_QUBIT])
+
+
 def export_qasm(circuit: Circuit, path=None) -> str:
     """OpenQASM 2.0 text for a circuit; byte-deterministic for equal inputs.
 
-    The global phase has no QASM 2.0 representation and is carried in a
-    comment line that the bundled reader understands.
+    The gate lines are one %-format of a template picked per row by kind,
+    over the rows' fields in order.  The global phase has no QASM 2.0
+    representation and is carried in a comment line that the bundled
+    reader understands.
     """
-    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";']
-    lines.append(f"// global_phase: {circuit.global_phase:.17g}")
-    lines.append(f"qreg q[{circuit.width}];")
-    for g in circuit.gates:
-        if g.name == "rz":
-            lines.append(f"rz({g.angle:.17g}) q[{g.qubits[0]}];")
-        elif g.name == "cx":
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.name == "h":
-            lines.append(f"h q[{g.qubits[0]}];")
-        elif g.name == "cu1":
-            lines.append(f"cu1({g.angle:.17g}) q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.name == "swap":
-            lines.append(f"swap q[{g.qubits[0]}],q[{g.qubits[1]}];")
-    text = "\n".join(lines) + "\n"
+    fields = np.empty((len(circuit.kind), 3), dtype=object)
+    for j, col in enumerate((circuit.angle, circuit.q0, circuit.q1)):
+        fields[:, j] = col.tolist()
+    template = "".join(_QASM_LINES[circuit.kind].tolist())
+    body = template % tuple(fields[_QASM_FIELDS[circuit.kind]].tolist())
+    text = (f'OPENQASM 2.0;\ninclude "qelib1.inc";\n// global_phase: {circuit.global_phase:.17g}\n'
+            f"qreg q[{circuit.width}];\n{body}")
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -395,9 +395,11 @@ def cmd_l1(args) -> int:
                 d = digitize(n_p, n_q, g, "compact")
             else:
                 d = Digitization(n_q, g, np.full(n_p, b_max), "compact", "original")
+            n = n_p * n_q
+            if n > limit:
+                raise ResourceLimitError(f"term spans {n} qubits, above --qubit-limit {limit}")
             # the term's own series: embedding moves masks, not coefficients
             val = l1_norm(term_series(_bare_cosine(n_p, g), d, 1.0, min(limit, TERM_LIMIT_QUBITS)))
-            n = n_p * n_q
             rows.append((n_q, n_p, n, val, 2.0 ** ((n - 5) / 4.0)))
     config = dict(nq=args.nq, np=args.np, qubit_limit=limit,
                   bmax_over_pi=args.bmax_over_pi, g=g)
@@ -551,6 +553,11 @@ _COMMANDS = {
 }
 
 
+def _option(name: str) -> str:
+    """The option string of a `_FLAGS` entry."""
+    return _FLAGS[name].get("flag", "--" + name.replace("_", "-"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="u1rotor",
@@ -561,9 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (func, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for name, default in flags.items():
-            spec = dict(_FLAGS[name])
-            flag = spec.pop("flag", "--" + name.replace("_", "-"))
-            p.add_argument(flag, default=default, **spec)
+            spec = {k: v for k, v in _FLAGS[name].items() if k != "flag"}
+            p.add_argument(_option(name), default=default, **spec)
         p.set_defaults(func=func)
     return parser
 
@@ -576,9 +582,9 @@ def _config_argv(path, args: argparse.Namespace) -> list[str]:
         raise ValueError(f"config {path} is not a JSON object")
     tokens = []
     for key, value in config.items():
-        if not hasattr(args, key.replace("-", "_")):
-            raise SystemExit(f"config key {key!r} is not an option of {args.command}")
         flag = "--" + key.replace("_", "-")
+        if flag not in map(_option, _COMMANDS[args.command][2]):
+            raise SystemExit(f"config key {key!r} is not an option of {args.command}")
         if value is True:
             tokens.append(flag)
         elif value is not None and value is not False:

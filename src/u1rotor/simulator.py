@@ -7,19 +7,21 @@ electric factor is conjugated by per-plaquette FFTs over the state reshaped
 to one axis per plaquette.  Sequency-ordered synthesis realizes exactly
 these phases, so the result is the step circuit's, up to rounding.
 
-`apply` and `circuit_unitary` run circuits gate by gate (index arithmetic
-per gate, no gate matrices, the recorded global phase included); they are
-the oracle that the fused path is tested against.
+`apply` and `circuit_unitary` run circuits gate by gate, one row of the
+gate table at a time (index arithmetic per gate, no gate matrices, the
+recorded global phase included); they are the oracle that the fused path is
+tested against.  `read_qasm` parses a whole QASM text into the table's
+columns at once.
 """
 
 from __future__ import annotations
 
 import re
-import sys
+from operator import itemgetter
 
 import numpy as np
 
-from .circuits import GATE_FORMS, Circuit, Gate
+from .circuits import CU1, CX, GATE_NAMES, H, RZ, SWAP, Circuit, table_error
 from .hamiltonian import (
     DENSE_LIMIT_QUBITS,
     TERM_LIMIT_QUBITS,
@@ -34,34 +36,29 @@ from .walsh import state_values
 
 
 def _apply_gates(circuit: Circuit, arr: np.ndarray) -> np.ndarray:
-    """Apply a circuit to (dim, batch) amplitudes, gate by gate."""
+    """Apply a circuit to (dim, batch) amplitudes, one table row at a time."""
     width = circuit.width
     dim = 1 << width
     idx = np.arange(dim)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for g in circuit.gates:
-        if g.name == "rz":
-            q = g.qubits[0]
-            sign = 2 * ((idx >> q) & 1) - 1  # -1 on |0>, +1 on |1>
-            arr = arr * np.exp(0.5j * g.angle * sign)[:, None]
-        elif g.name == "cx":
-            c, t = g.qubits
-            src = np.where((idx >> c) & 1 == 1, idx ^ (1 << t), idx)
+    for kind, a, b, angle in zip(*(col.tolist() for col in circuit.columns())):
+        if kind == RZ:
+            sign = 2 * ((idx >> a) & 1) - 1  # -1 on |0>, +1 on |1>
+            arr = arr * np.exp(0.5j * angle * sign)[:, None]
+        elif kind == CX:
+            src = np.where((idx >> a) & 1 == 1, idx ^ (1 << b), idx)
             arr = arr[src]
-        elif g.name == "h":
-            q = g.qubits[0]
-            shaped = arr.reshape(1 << (width - 1 - q), 2, -1)
+        elif kind == H:
+            shaped = arr.reshape(1 << (width - 1 - a), 2, -1)
             lo = shaped[:, 0, :].copy()
             hi = shaped[:, 1, :].copy()
             shaped[:, 0, :] = (lo + hi) * inv_sqrt2
             shaped[:, 1, :] = (lo - hi) * inv_sqrt2
             arr = shaped.reshape(dim, -1)
-        elif g.name == "cu1":
-            a, b = g.qubits
+        elif kind == CU1:
             both = ((idx >> a) & (idx >> b) & 1).astype(bool)
-            arr[both] = arr[both] * np.exp(1j * g.angle)
-        elif g.name == "swap":
-            a, b = g.qubits
+            arr[both] = arr[both] * np.exp(1j * angle)
+        elif kind == SWAP:
             differ = (((idx >> a) ^ (idx >> b)) & 1).astype(bool)
             src = np.where(differ, idx ^ ((1 << a) | (1 << b)), idx)
             arr = arr[src]
@@ -150,40 +147,63 @@ def exact_evolution(
 
 _QASM_PHASE = re.compile(r"^//\s*global_phase:\s*([-+0-9.eE]+)\s*$")
 _QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\];$")
-_QASM_GATE = re.compile(r"^(\w+)(?:\(([-+0-9.eE]+)\))?\s+q\[(\d+)\](?:,q\[(\d+)\])?;$")
+# one match per stripped line: a gate's (name, angle, q0, q1), or four empty groups;
+# [^\S\n] is \s without the newline, so no match runs into the next line
+_QASM_LINE = re.compile(
+    rf"^(?:({'|'.join(GATE_NAMES)})(?:\(([-+0-9.eE]+)\))?[^\S\n]+q\[(\d+)\](?:,q\[(\d+)\])?;|.*)$",
+    re.MULTILINE)
 
 
 def read_qasm(text: str) -> Circuit:
-    """Parse the OpenQASM 2.0 subset written by `circuits.export_qasm`."""
-    circ = None
-    phase = 0.0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("OPENQASM") or line.startswith("include"):
-            continue
+    """Parse the OpenQASM 2.0 subset written by `circuits.export_qasm`.
+
+    One multiline `findall` over the stripped lines yields every gate line's
+    fields, cast as whole columns; the few other lines are read one by one.
+    Gates are checked against the qreg before them, and the last qreg's
+    gates form the circuit.
+    """
+    lines = list(map(str.strip, text.splitlines()))
+    rows = _QASM_LINE.findall("\n".join(lines)) if lines else []
+    names, angles, q0s, q1s = (list(map(itemgetter(i), rows)) for i in range(4))
+    gate = np.fromiter(map(bool, names), bool, len(names))
+    kind = np.fromiter(map(GATE_NAMES.index, filter(None, names)), np.uint8)
+    try:
+        q0, q1 = (_column(q, gate, -1, int, np.int64) for q in (q0s, q1s))
+    except OverflowError as exc:
+        raise ValueError(f"qubit index beyond 64 bits: {exc}") from exc
+    angle = _column(angles, gate, np.nan, float, np.float64)
+    qregs, phase = [], 0.0  # (line, width, phase) per qreg declaration
+    for i in np.flatnonzero(~gate).tolist():
+        line = lines[i]
         m = _QASM_PHASE.match(line)
         if m:
             phase = float(m.group(1))
-            continue
-        if line.startswith("//"):
-            continue
-        m = _QASM_QREG.match(line)
-        if m:
-            circ = Circuit(int(m.group(1)), global_phase=phase)
-            continue
-        if circ is None:
-            raise ValueError(f"gate before qreg declaration: {line!r}")
-        m = _QASM_GATE.match(line)
-        if m is None or m.group(1) not in GATE_FORMS:
-            raise ValueError(f"unsupported QASM line: {line!r}")
-        name, angle, a, b = m.groups()
-        qubits = (int(a),) if b is None else (int(a), int(b))
-        circ._check(*qubits)
-        # interned, so that every gate of a kind shares one name string
-        circ.gates.append(Gate(sys.intern(name), qubits, None if angle is None else float(angle)))
-    if circ is None:
+        elif line and not line.startswith(("OPENQASM", "include", "//")):
+            m = _QASM_QREG.match(line)
+            if m is None:
+                problem = "unsupported QASM line" if qregs else "gate before qreg declaration"
+                raise ValueError(f"{problem}: {line!r}")
+            qregs.append((i, int(m.group(1)), phase))
+    if not qregs:
         raise ValueError("no qreg declaration found")
-    return circ
+    starts, widths, phases = zip(*qregs)
+    line_of = np.flatnonzero(gate)
+    qreg_of = np.searchsorted(starts, line_of) - 1
+    if len(qreg_of) and qreg_of[0] < 0:
+        raise ValueError(f"gate before qreg declaration: {lines[line_of[0]]!r}")
+    error = table_error(np.array(widths)[qreg_of], kind, q0, q1, angle)
+    if error is not None:
+        raise ValueError(f"{error[1]}: {lines[line_of[error[0]]]!r}")
+    last = qreg_of == len(qregs) - 1
+    return Circuit.from_columns(widths[-1], kind[last], q0[last], q1[last], angle[last], phases[-1])
+
+
+def _column(texts, gate, blank, cast, dtype) -> np.ndarray:
+    """A field of the gate lines as a column: ``cast`` where present, ``blank`` where empty."""
+    present = np.fromiter(map(bool, texts), bool, len(texts))
+    out = np.full(present.size, blank, dtype)
+    out[present] = np.fromiter(map(cast, filter(None, texts)), dtype)
+    return out[gate]
 
 
 def load_qasm(path) -> Circuit:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -280,3 +282,37 @@ def test_circuit_validation():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             Gate("rz", (0,), bad)
+
+
+# SHA-256 of export_qasm(step_circuit(...)) for fixed small models: byte drift in
+# the QASM writer, the synthesis order or the global-phase sum changes them.
+# (lattice, n_q, g, formulation, basis, order, cutoff policy, cutoff value)
+GOLDEN_STEP_QASM = [
+    (((2, 2), 2, 0.5, "compact", "original", 1, "abs", 0.0),
+     "dd2fb288d66c24c02dd9787a91e44e238a4839383932589193bca12a336e9691"),
+    (((2, 2), 3, 0.8, "non-compact", "original", 2, "dt", 0.05),
+     "c139b4db1f6e1a965369eb3b16170ce17d655d04148a67b583bcefac5d078b8e"),
+    (((2, 2), 2, 0.6, "compact", "weaved", 2, "abs", 0.0),
+     "acd9e6dec860db6e42c5f3730c4f4f6a363ca37b40a4abb949f1d6d18eaceb81"),
+]
+
+
+@pytest.mark.parametrize("case, digest", GOLDEN_STEP_QASM)
+def test_step_qasm_bytes_are_pinned(case, digest):
+    (n_x, n_y), n_q, g, formulation, basis, order, policy, value = case
+    lattice = u.LatticeSpec(n_x, n_y)
+    weave = u.builtin_weave(lattice.n_p) if basis == "weaved" else None
+    model = u.build_model(lattice, u.digitize(lattice.n_p, n_q, g, formulation, basis, weave), weave)
+    theta = u.ThetaPolicy(policy, value)
+    text = u.export_qasm(u.step_circuit(model, u.TrotterPlan(order, 0.1, 1, theta, theta)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_gate_table_rejects_unknown_kind():
+    nan = float("nan")
+    for kind in (len(u.circuits.GATE_NAMES), 256, -1):
+        with pytest.raises(ValueError, match="malformed"):
+            u.Circuit.from_columns(2, np.array([kind]), [0], [-1], [0.5])
+    circ = u.Circuit.from_columns(2, [0, 1], [1, 0], [-1, 1], [0.25, nan], 0.5)
+    assert circ.gates == [Gate("rz", (1,), 0.25), Gate("cx", (0, 1))]
+    assert circ.gates[-1] == Gate("cx", (0, 1)) and len(circ.gates) == 2

@@ -225,10 +225,14 @@ def test_plaquette_scan_mode(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path):
+    # "command" and "func" sit on the parsed namespace but are not options: they
+    # used to end in argparse's multi-line usage error instead of this message
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"frobnicate": 1}))
-    with pytest.raises(SystemExit):
-        main(["l1", "--config", str(cfg)])
+    for key in ("frobnicate", "command", "func"):
+        cfg.write_text(json.dumps({key: "x"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["l1", "--config", str(cfg)])
+        assert exc.value.code == f"config key {key!r} is not an option of l1"
 
 
 def test_config_grid_with_explicit_grid(tmp_path):
@@ -281,6 +285,12 @@ def test_config_values_checked_like_flags(tmp_path, entry):
               "--theta-grid", "0", "--out", str(out)])
     assert exc.value.code != 0
     assert not out.exists()
+
+
+# message fragments that a bad-input case must name
+BAD_INPUT_MESSAGES = {
+    ("l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"): "above --qubit-limit 16",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -355,6 +365,7 @@ def test_bad_input_exits_without_table(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code not in (0, None)
+    assert BAD_INPUT_MESSAGES.get(tuple(argv), "") in str(exc.value.code)
     assert not out.exists()
 
 

@@ -267,3 +267,76 @@ def test_loschmidt_state_limit():
     model = _model(n_q=3, lat=u.LatticeSpec(3, 3))  # 24 qubits
     with pytest.raises(u.ResourceLimitError, match=f"{16 << 24} B"):
         u.loschmidt(model, u.TrotterPlan(1, 0.1, 1))
+
+
+_ANGLE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _gate_tables(draw):
+    """Random circuits over all five gate kinds."""
+    width = draw(st.integers(2, 6))
+    circ = u.Circuit(width, global_phase=draw(_ANGLE))
+    for kind in draw(st.lists(st.sampled_from(u.circuits.GATE_NAMES), max_size=30)):
+        a, b = draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
+        if kind in ("rz", "h"):
+            circ.rz(draw(_ANGLE), a) if kind == "rz" else circ.h(a)
+        elif kind == "cu1":
+            circ.cu1(draw(_ANGLE), a, b)
+        else:
+            getattr(circ, kind)(a, b)
+    return circ
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_gate_tables(), st.randoms(use_true_random=False))
+def test_qasm_round_trip_with_noise(circ, rnd):
+    # blank lines, // comments and extra spaces around and inside lines are skipped
+    lines = []
+    for line in u.export_qasm(circ).splitlines():
+        if rnd.random() < 0.2:
+            lines.append(rnd.choice(["", "// a comment", "  //comment q[0];", "\t"]))
+        if line.startswith(tuple(u.circuits.GATE_NAMES)) and rnd.random() < 0.5:
+            line = line.replace(" q[", rnd.choice(["  q[", "\t q["]), 1)
+        lines.append(rnd.choice(["", " ", "\t"]) + line + rnd.choice(["", "  ", "\t"]))
+    back = u.read_qasm("\n".join(lines) + rnd.choice(["", "\n"]))
+    assert back.width == circ.width
+    assert back.gates == circ.gates and back.gates == list(circ.gates)
+    assert back.global_phase == circ.global_phase
+
+
+def _on_two_qubits(line):
+    return f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n{line}\n'
+
+
+def _build(*gate):
+    return lambda: u.Circuit(2, [u.Gate(*gate)])
+
+
+def _call(name, *args):
+    return lambda: getattr(u.Circuit(2), name)(*args)
+
+
+@pytest.mark.parametrize("text, build", [
+    (_on_two_qubits("ccx q[0],q[1];"), _build("ccx", (0, 1))),  # unknown gate
+    (_on_two_qubits("cx q[0];"), _build("cx", (0,))),  # wrong arity
+    (_on_two_qubits("h q[0],q[1];"), _build("h", (0, 1))),
+    (_on_two_qubits("rz q[0];"), _build("rz", (0,))),  # missing angle
+    (_on_two_qubits("h(0.1) q[0];"), _build("h", (0,), 0.1)),  # extra angle
+    (_on_two_qubits("rz(0.1) q[2];"), _call("rz", 0.1, 2)),  # qubit out of range
+    (_on_two_qubits("swap q[0],q[5];"), _call("swap", 0, 5)),
+    (_on_two_qubits("cx q[1],q[1];"), _call("cx", 1, 1)),  # repeated qubit
+    (_on_two_qubits("rz(1e999) q[0];"), _call("rz", float("1e999"), 0)),  # non-finite angle
+    (_on_two_qubits("cu1(1e) q[0],q[1];"), _call("cu1", float("nan"), 0, 1)),
+    ("qreg q[3];\nrz(0.1) q[3];\n", _call("rz", 0.1, -1)),
+    ("rz(0.1) q[0];\nqreg q[2];\n", None),  # a gate before qreg
+    ("cx q[0],q[1];\n", None),
+    ('OPENQASM 2.0;\ninclude "qelib1.inc";\n// global_phase: 0.5\n', None),  # no qreg
+    ("", None),
+])
+def test_bad_gate_tables_rejected(text, build):
+    with pytest.raises(ValueError):
+        u.read_qasm(text)
+    if build is not None:
+        with pytest.raises(ValueError):
+            build()
