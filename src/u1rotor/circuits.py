@@ -14,54 +14,54 @@ circuit and never becomes a gate.
 
 A `Circuit` is one gate table: parallel columns ``kind`` (uint8 index into
 `GATE_NAMES`), ``q0``, ``q1`` (-1 for one-qubit gates) and ``angle`` (NaN for
-angle-free gates), plus ``width`` and ``global_phase``.  `exact_circuit`
-writes the columns straight from the sequency walk; concatenation, shifting,
-reversal, `gate_count` and `export_qasm` work on whole columns, and every
-constructor validates the table.  The one-gate methods (`Circuit.rz`, ...)
-copy the table on each call and suit small hand-built circuits.
-``circuit.gates`` is a read-only `GateView`: its length costs O(1), its items
-are `Gate` values built on demand, and ``==`` compares columns with another
-view or gates with a list.
+angle-free gates), plus ``width`` and a finite ``global_phase``.  Circuits are
+built whole, from columns (`Circuit.from_columns`) or from a list of `Gate`
+records (``Circuit(width, gates)``); `exact_circuit` writes the columns
+straight from the sequency walk.  `Gate` is a plain record, checked only when
+it enters a circuit: every constructor validates the table with
+`table_error`.  Concatenation, shifting, reversal, `gate_count` and
+`export_qasm` work on whole columns.  ``circuit.gates`` is a read-only
+`GateView`: its length costs O(1), its items are `Gate` values built on
+demand, and ``==`` compares columns with another view or gates with a list.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .walsh import WalshSeries, sequency_order, threshold_truncate
+from .walsh import WalshSeries, _words, sequency_order, threshold_truncate
 
 # gate kind -> (qubit count, takes an angle); a kind column holds indices into GATE_NAMES
 GATE_FORMS = {"rz": (1, True), "cx": (2, False), "h": (1, False), "cu1": (2, True), "swap": (2, False)}
 GATE_NAMES = tuple(GATE_FORMS)
+_KIND = {name: kind for kind, name in enumerate(GATE_NAMES)}
 RZ, CX, H, CU1, SWAP = range(len(GATE_NAMES))
 _TWO_QUBIT = np.array([arity == 2 for arity, _ in GATE_FORMS.values()])
 _ANGLED = np.array([angled for _, angled in GATE_FORMS.values()])
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     name: str
     qubits: tuple[int, ...]
     angle: float | None = None
 
-    def __post_init__(self):
-        if GATE_FORMS.get(self.name) != (len(self.qubits), self.angle is not None):
-            raise ValueError(f"malformed gate {self.name!r} on {self.qubits}, angle {self.angle}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"repeated qubit in {self.name} gate: {self.qubits}")
-        if self.angle is not None and not math.isfinite(self.angle):
-            raise ValueError(f"non-finite angle {self.angle} in {self.name} gate")
+
+def _row(gate: Gate) -> tuple:
+    """A gate's table row; kind -1 marks an unknown name or arity, angle inf a given NaN."""
+    name, qubits, angle = gate
+    kind = _KIND.get(name, -1) if len(qubits) in (1, 2) else -1
+    q0, q1 = (*qubits, -1, -1)[:2]
+    if angle is not None and math.isnan(angle):
+        angle = math.inf  # non-finite, not absent
+    return kind, q0, q1, math.nan if angle is None else angle
 
 
 def table_error(width: int, kind, q0, q1, angle) -> tuple[int, str] | None:
-    """(row, problem) of the first rule a gate table breaks, or None when it is valid.
-
-    ``width`` is the register width, or an array of one width per row.
-    """
+    """(row, problem) of the first rule a gate table breaks, or None when it is valid."""
     known = (0 <= kind) & (kind < len(GATE_NAMES))
     k = np.where(known, kind, 0)
     rules = (
@@ -113,9 +113,10 @@ class Circuit:
     """One validated gate table over a flat register, plus the accumulated global phase."""
 
     def __init__(self, width: int, gates=(), global_phase: float = 0.0):
+        if not math.isfinite(global_phase):
+            raise ValueError(f"non-finite global phase {global_phase}")
         self.width, self.global_phase = width, global_phase
-        rows = [(GATE_NAMES.index(g.name), g.qubits[0], (g.qubits + (-1,))[1],
-                 math.nan if g.angle is None else g.angle) for g in gates]
+        rows = list(map(_row, gates))
         self._set(*(zip(*rows) if rows else [()] * 4))
 
     @classmethod
@@ -143,32 +144,11 @@ class Circuit:
         return (f"Circuit(width={self.width!r}, gates={self.gates!r}, "
                 f"global_phase={self.global_phase!r})")
 
-    def _concat(self, other: "Circuit") -> None:
-        pairs = zip(self.columns(), other.columns())
-        self.kind, self.q0, self.q1, self.angle = map(np.concatenate, pairs)
-
-    def _add(self, kind: int, q0: int, q1: int = -1, angle: float = math.nan) -> None:
-        self._concat(Circuit.from_columns(self.width, [kind], [q0], [q1], [angle]))
-
-    def rz(self, angle: float, q: int) -> None:
-        self._add(RZ, q, angle=float(angle))
-
-    def cx(self, control: int, target: int) -> None:
-        self._add(CX, control, target)
-
-    def h(self, q: int) -> None:
-        self._add(H, q)
-
-    def cu1(self, angle: float, control: int, target: int) -> None:
-        self._add(CU1, control, target, float(angle))
-
-    def swap(self, a: int, b: int) -> None:
-        self._add(SWAP, a, b)
-
     def extend(self, other: "Circuit") -> None:
         if other.width != self.width:
             raise ValueError("register width mismatch")
-        self._concat(other)
+        pairs = zip(self.columns(), other.columns())
+        self.kind, self.q0, self.q1, self.angle = map(np.concatenate, pairs)
         self.global_phase += other.global_phase
 
     def shifted(self, offset: int, width: int) -> "Circuit":
@@ -185,20 +165,13 @@ class Circuit:
 def exp_walsh(mask: int, coeff: float, n: int) -> Circuit:
     """Standalone circuit for exp(i * coeff * w_mask) on an n-qubit register.
 
-    Rz(-2 coeff) sits on the most significant set bit; every other set bit
-    contributes a mirrored CNOT pair controlled on it.
+    `exact_circuit` of the unpruned one-row series: Rz(-2 coeff), even for a
+    zero coeff, on the most significant set bit, inside a mirrored CNOT pair
+    from every other set bit.
     """
     if not 0 < mask < (1 << n):
         raise ValueError(f"mask {mask} must be nonzero and fit in {n} qubits")
-    target = mask.bit_length() - 1
-    controls = [q for q in range(target) if mask >> q & 1]
-    circ = Circuit(n)
-    for c in controls:
-        circ.cx(c, target)
-    circ.rz(-2.0 * coeff, target)
-    for c in reversed(controls):
-        circ.cx(c, target)
-    return circ
+    return exact_circuit(WalshSeries._of(n, _words([mask], n), np.array([float(coeff)])))
 
 
 def _sequency_walk(series: WalshSeries):
@@ -265,12 +238,9 @@ def truncated_circuit(series: WalshSeries, theta_min: float) -> Circuit:
 
 
 def _commutes_with_cx(cnot: Gate, other: Gate) -> bool:
+    """Whether ``other``, an Rz or a CNOT, commutes with ``cnot``."""
     control, target = cnot.qubits
-    if other.name == "rz":
-        return other.qubits[0] != target
-    if other.name == "cx":
-        return other.qubits[0] != target and other.qubits[1] != control
-    raise ValueError(f"simplify_cnots cannot handle {other.name!r} gates")
+    return other.qubits[0] != target and (other.name == "rz" or other.qubits[1] != control)
 
 
 def simplify_cnots(circuit: Circuit) -> Circuit:
@@ -280,31 +250,23 @@ def simplify_cnots(circuit: Circuit) -> Circuit:
     what exposes the cancellations in hand-built circuits such as a row of
     mirrored `exp_walsh` blocks.  Sequency-ordered synthesis never leaves one.
     """
-    for g in circuit.gates:
-        if g.name not in ("rz", "cx"):
-            raise ValueError(f"simplify_cnots cannot handle {g.name!r} gates")
+    other = circuit.kind[(circuit.kind != RZ) & (circuit.kind != CX)]
+    if other.size:
+        raise ValueError(f"simplify_cnots cannot handle {GATE_NAMES[other[0]]!r} gates")
     gates = list(circuit.gates)
     changed = True
     while changed:
-        changed = False
-        i = 0
+        changed, i = False, 0
         while i < len(gates):
-            g = gates[i]
-            cancelled = False
-            if g.name == "cx":
+            g, j = gates[i], len(gates)
+            if g.name == "cx":  # j: the first gate after g that equals it or blocks it
                 j = i + 1
-                while j < len(gates):
-                    h = gates[j]
-                    if h == g:
-                        del gates[j]
-                        del gates[i]
-                        changed = True
-                        cancelled = True
-                        break
-                    if not _commutes_with_cx(g, h):
-                        break
+                while j < len(gates) and gates[j] != g and _commutes_with_cx(g, gates[j]):
                     j += 1
-            if not cancelled:
+            if j < len(gates) and gates[j] == g:
+                del gates[j], gates[i]
+                changed = True
+            else:
                 i += 1
     return Circuit(circuit.width, gates, circuit.global_phase)
 
@@ -333,14 +295,12 @@ def qft_circuit(n: int) -> Circuit:
     """
     if n < 1:
         raise ValueError("register needs at least one qubit")
-    circ = Circuit(n)
+    gates = []
     for i in reversed(range(n)):
-        circ.h(i)
-        for j in reversed(range(i)):
-            circ.cu1(np.pi / (1 << (i - j)), j, i)
-    for i in range(n // 2):
-        circ.swap(i, n - 1 - i)
-    return circ
+        gates.append(Gate("h", (i,)))
+        gates += [Gate("cu1", (j, i), np.pi / (1 << (i - j))) for j in reversed(range(i))]
+    gates += [Gate("swap", (i, n - 1 - i)) for i in range(n // 2)]
+    return Circuit(n, gates)
 
 
 # one QASM line per gate kind, and which of (angle, q0, q1) it formats

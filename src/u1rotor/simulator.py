@@ -10,8 +10,9 @@ these phases, so the result is the step circuit's, up to rounding.
 `apply` and `circuit_unitary` run circuits gate by gate, one row of the
 gate table at a time (index arithmetic per gate, no gate matrices, the
 recorded global phase included); they are the oracle that the fused path is
-tested against.  `read_qasm` parses a whole QASM text into the table's
-columns at once.
+tested against.  `read_qasm` parses a whole QASM text, as `export_qasm`
+writes it, into the table's columns at once: one qreg before any gate, and
+the last ``// global_phase:`` comment sets the phase.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def exact_evolution(
     return (vecs * np.exp(-1j * vals * t)[None, :]) @ vecs.conj().T
 
 
-_QASM_PHASE = re.compile(r"^//\s*global_phase:\s*([-+0-9.eE]+)\s*$")
+_QASM_PHASE = re.compile(r"^//\s*global_phase:\s*(\S+)\s*$")
 _QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\];$")
 # one match per stripped line: a gate's (name, angle, q0, q1), or four empty groups;
 # [^\S\n] is \s without the newline, so no match runs into the next line
@@ -159,8 +160,8 @@ def read_qasm(text: str) -> Circuit:
 
     One multiline `findall` over the stripped lines yields every gate line's
     fields, cast as whole columns; the few other lines are read one by one.
-    Gates are checked against the qreg before them, and the last qreg's
-    gates form the circuit.
+    The text declares one qreg, before any gate, and the last
+    ``// global_phase:`` comment, wherever it stands, sets the phase.
     """
     lines = list(map(str.strip, text.splitlines()))
     rows = _QASM_LINE.findall("\n".join(lines)) if lines else []
@@ -172,7 +173,7 @@ def read_qasm(text: str) -> Circuit:
     except OverflowError as exc:
         raise ValueError(f"qubit index beyond 64 bits: {exc}") from exc
     angle = _column(angles, gate, np.nan, float, np.float64)
-    qregs, phase = [], 0.0  # (line, width, phase) per qreg declaration
+    qreg, phase = None, 0.0  # (line, width) of the qreg declaration
     for i in np.flatnonzero(~gate).tolist():
         line = lines[i]
         m = _QASM_PHASE.match(line)
@@ -181,21 +182,19 @@ def read_qasm(text: str) -> Circuit:
         elif line and not line.startswith(("OPENQASM", "include", "//")):
             m = _QASM_QREG.match(line)
             if m is None:
-                problem = "unsupported QASM line" if qregs else "gate before qreg declaration"
-                raise ValueError(f"{problem}: {line!r}")
-            qregs.append((i, int(m.group(1)), phase))
-    if not qregs:
+                raise ValueError(f"unsupported QASM line: {line!r}")
+            if qreg is not None:
+                raise ValueError(f"second qreg declaration: {line!r}")
+            qreg = i, int(m.group(1))
+    if qreg is None:
         raise ValueError("no qreg declaration found")
-    starts, widths, phases = zip(*qregs)
     line_of = np.flatnonzero(gate)
-    qreg_of = np.searchsorted(starts, line_of) - 1
-    if len(qreg_of) and qreg_of[0] < 0:
+    if len(line_of) and line_of[0] < qreg[0]:
         raise ValueError(f"gate before qreg declaration: {lines[line_of[0]]!r}")
-    error = table_error(np.array(widths)[qreg_of], kind, q0, q1, angle)
+    error = table_error(qreg[1], kind, q0, q1, angle)
     if error is not None:
         raise ValueError(f"{error[1]}: {lines[line_of[error[0]]]!r}")
-    last = qreg_of == len(qregs) - 1
-    return Circuit.from_columns(widths[-1], kind[last], q0[last], q1[last], angle[last], phases[-1])
+    return Circuit.from_columns(qreg[1], kind, q0, q1, angle, phase)
 
 
 def _column(texts, gate, blank, cast, dtype) -> np.ndarray:

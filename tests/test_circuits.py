@@ -20,13 +20,15 @@ def test_exp_walsh_single_qubit():
     assert circ.gates[0] == Gate("rz", (0,), -0.6)
 
 
-def test_exp_walsh_mask13_gate_sequence():
-    # mask 13 = bits {0, 2, 3}: mirrored CNOTs from qubits 0 and 2 onto 3
-    circ = u.exp_walsh(13, 0.5, 4)
+@pytest.mark.parametrize("coeff", [0.5, 0.0])
+def test_exp_walsh_mask13_gate_sequence(coeff):
+    # mask 13 = bits {0, 2, 3}: mirrored CNOTs from qubits 0 and 2 onto 3; a zero
+    # coefficient still places its Rz
+    circ = u.exp_walsh(13, coeff, 4)
     assert circ.gates == [
         Gate("cx", (0, 3)),
         Gate("cx", (2, 3)),
-        Gate("rz", (3,), -1.0),
+        Gate("rz", (3,), -2 * coeff),
         Gate("cx", (2, 3)),
         Gate("cx", (0, 3)),
     ]
@@ -179,25 +181,24 @@ def test_truncated_circuit_leaves_nothing_to_simplify(rng):
 
 
 def test_simplify_cancels_adjacent_pair():
-    circ = u.Circuit(2)
-    circ.cx(0, 1)
-    circ.cx(0, 1)
+    circ = u.Circuit(2, [Gate("cx", (0, 1)), Gate("cx", (0, 1))])
     assert u.simplify_cnots(circ).gates == []
 
 
 def test_simplify_figure_middle_to_bottom():
     # the post-truncation circuit before CNOT cleanup: 6 CNOTs, 4 Rz
-    circ = u.Circuit(3)
-    circ.rz(-2.0, 0)
-    circ.cx(0, 1)
-    circ.cx(0, 1)
-    circ.rz(-1.6, 1)
-    circ.cx(1, 2)
-    circ.rz(-1.4, 2)
-    circ.cx(0, 2)
-    circ.cx(1, 2)
-    circ.cx(0, 2)
-    circ.rz(-1.8, 2)
+    circ = u.Circuit(3, [
+        Gate("rz", (0,), -2.0),
+        Gate("cx", (0, 1)),
+        Gate("cx", (0, 1)),
+        Gate("rz", (1,), -1.6),
+        Gate("cx", (1, 2)),
+        Gate("rz", (2,), -1.4),
+        Gate("cx", (0, 2)),
+        Gate("cx", (1, 2)),
+        Gate("cx", (0, 2)),
+        Gate("rz", (2,), -1.8),
+    ])
     before = _unitary(circ)
     simplified = u.simplify_cnots(circ)
     counts = u.gate_count(simplified)
@@ -208,21 +209,21 @@ def test_simplify_figure_middle_to_bottom():
 def test_simplify_preserves_unitary(rng):
     for _ in range(20):
         n = int(rng.integers(2, 5))
-        circ = u.Circuit(n)
+        gates = []
         for _ in range(30):
             if rng.random() < 0.5:
-                circ.rz(float(rng.normal()), int(rng.integers(n)))
+                gates.append(Gate("rz", (int(rng.integers(n)),), float(rng.normal())))
             else:
                 a, b = rng.choice(n, size=2, replace=False)
-                circ.cx(int(a), int(b))
+                gates.append(Gate("cx", (int(a), int(b))))
+        circ = u.Circuit(n, gates)
         simplified = u.simplify_cnots(circ)
         assert np.abs(_unitary(simplified) - _unitary(circ)).max() < 1e-12
         assert u.gate_count(simplified)["cx"] <= u.gate_count(circ)["cx"]
 
 
 def test_simplify_rejects_other_gates():
-    circ = u.Circuit(2)
-    circ.h(0)
+    circ = u.Circuit(2, [Gate("h", (0,))])
     with pytest.raises(ValueError):
         u.simplify_cnots(circ)
 
@@ -246,9 +247,7 @@ def test_gate_count_empty():
 
 
 def test_export_qasm_single_rz():
-    circ = u.Circuit(1)
-    circ.rz(-0.8, 0)
-    text = u.export_qasm(circ)
+    text = u.export_qasm(u.Circuit(1, [Gate("rz", (0,), -0.8)]))
     assert "rz(-0.80000000000000004) q[0];" in text
     assert text.startswith('OPENQASM 2.0;\ninclude "qelib1.inc";\n')
 
@@ -272,16 +271,10 @@ def test_export_deterministic(rng):
 
 
 def test_circuit_validation():
-    circ = u.Circuit(2)
-    with pytest.raises(ValueError):
-        circ.rz(0.1, 2)
-    with pytest.raises(ValueError):
-        circ.cx(1, 1)
-    with pytest.raises(ValueError):
-        Gate("nope", (0,))
-    for bad in (float("inf"), float("nan")):
+    for gate in (Gate("rz", (2,), 0.1), Gate("cx", (1, 1)), Gate("nope", (0,)),
+                 Gate("rz", (0,), float("inf")), Gate("rz", (0,), float("nan"))):
         with pytest.raises(ValueError):
-            Gate("rz", (0,), bad)
+            u.Circuit(2, [gate])
 
 
 # SHA-256 of export_qasm(step_circuit(...)) for fixed small models: byte drift in

@@ -48,22 +48,17 @@ def _dense_circuit(circ):
 
 
 def _random_circuit(rng, width, gates=25):
-    circ = u.Circuit(width, global_phase=float(rng.normal()))
+    phase, drawn = float(rng.normal()), []
     for _ in range(gates):
         kinds = ["rz", "h"] if width == 1 else ["rz", "cx", "h", "cu1", "swap"]
-        kind = rng.choice(kinds)
+        kind = str(rng.choice(kinds))
         if kind in ("rz", "h"):
-            q = int(rng.integers(width))
-            circ.rz(float(rng.normal()), q) if kind == "rz" else circ.h(q)
+            qubits = (int(rng.integers(width)),)
         else:
-            a, b = (int(x) for x in rng.choice(width, size=2, replace=False))
-            if kind == "cx":
-                circ.cx(a, b)
-            elif kind == "cu1":
-                circ.cu1(float(rng.normal()), a, b)
-            else:
-                circ.swap(a, b)
-    return circ
+            qubits = tuple(int(x) for x in rng.choice(width, size=2, replace=False))
+        angle = float(rng.normal()) if kind in ("rz", "cu1") else None
+        drawn.append(u.Gate(kind, qubits, angle))
+    return u.Circuit(width, drawn, phase)
 
 
 def _model(n_q=2, g=0.5, lat=None, formulation="compact", basis="original", weave=None):
@@ -79,9 +74,7 @@ def test_empty_circuit_is_identity():
 
 
 def test_h_on_zero():
-    circ = u.Circuit(1)
-    circ.h(0)
-    out = u.apply(circ, np.array([1.0, 0.0]))
+    out = u.apply(u.Circuit(1, [u.Gate("h", (0,))]), np.array([1.0, 0.0]))
     assert np.allclose(out, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
@@ -276,30 +269,31 @@ _ANGLE = st.floats(allow_nan=False, allow_infinity=False)
 def _gate_tables(draw):
     """Random circuits over all five gate kinds."""
     width = draw(st.integers(2, 6))
-    circ = u.Circuit(width, global_phase=draw(_ANGLE))
+    phase, gates = draw(_ANGLE), []
     for kind in draw(st.lists(st.sampled_from(u.circuits.GATE_NAMES), max_size=30)):
         a, b = draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
-        if kind in ("rz", "h"):
-            circ.rz(draw(_ANGLE), a) if kind == "rz" else circ.h(a)
-        elif kind == "cu1":
-            circ.cu1(draw(_ANGLE), a, b)
-        else:
-            getattr(circ, kind)(a, b)
-    return circ
+        qubits = (a,) if kind in ("rz", "h") else (a, b)
+        gates.append(u.Gate(kind, qubits, draw(_ANGLE) if kind in ("rz", "cu1") else None))
+    return u.Circuit(width, gates, phase)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_gate_tables(), st.randoms(use_true_random=False))
 def test_qasm_round_trip_with_noise(circ, rnd):
-    # blank lines, // comments and extra spaces around and inside lines are skipped
-    lines = []
-    for line in u.export_qasm(circ).splitlines():
+    # blank lines, // comments and extra spaces around and inside lines are skipped,
+    # and the phase comment may stand anywhere, after the qreg and the gates too
+    lines = u.export_qasm(circ).splitlines()
+    if rnd.random() < 0.3:
+        phase = lines.pop(2)
+        lines.insert(rnd.randint(3, len(lines)), phase)
+    noisy = []
+    for line in lines:
         if rnd.random() < 0.2:
-            lines.append(rnd.choice(["", "// a comment", "  //comment q[0];", "\t"]))
+            noisy.append(rnd.choice(["", "// a comment", "  //comment q[0];", "\t"]))
         if line.startswith(tuple(u.circuits.GATE_NAMES)) and rnd.random() < 0.5:
             line = line.replace(" q[", rnd.choice(["  q[", "\t q["]), 1)
-        lines.append(rnd.choice(["", " ", "\t"]) + line + rnd.choice(["", "  ", "\t"]))
-    back = u.read_qasm("\n".join(lines) + rnd.choice(["", "\n"]))
+        noisy.append(rnd.choice(["", " ", "\t"]) + line + rnd.choice(["", "  ", "\t"]))
+    back = u.read_qasm("\n".join(noisy) + rnd.choice(["", "\n"]))
     assert back.width == circ.width
     assert back.gates == circ.gates and back.gates == list(circ.gates)
     assert back.global_phase == circ.global_phase
@@ -313,22 +307,23 @@ def _build(*gate):
     return lambda: u.Circuit(2, [u.Gate(*gate)])
 
 
-def _call(name, *args):
-    return lambda: getattr(u.Circuit(2), name)(*args)
-
-
 @pytest.mark.parametrize("text, build", [
     (_on_two_qubits("ccx q[0],q[1];"), _build("ccx", (0, 1))),  # unknown gate
     (_on_two_qubits("cx q[0];"), _build("cx", (0,))),  # wrong arity
     (_on_two_qubits("h q[0],q[1];"), _build("h", (0, 1))),
     (_on_two_qubits("rz q[0];"), _build("rz", (0,))),  # missing angle
     (_on_two_qubits("h(0.1) q[0];"), _build("h", (0,), 0.1)),  # extra angle
-    (_on_two_qubits("rz(0.1) q[2];"), _call("rz", 0.1, 2)),  # qubit out of range
-    (_on_two_qubits("swap q[0],q[5];"), _call("swap", 0, 5)),
-    (_on_two_qubits("cx q[1],q[1];"), _call("cx", 1, 1)),  # repeated qubit
-    (_on_two_qubits("rz(1e999) q[0];"), _call("rz", float("1e999"), 0)),  # non-finite angle
-    (_on_two_qubits("cu1(1e) q[0],q[1];"), _call("cu1", float("nan"), 0, 1)),
-    ("qreg q[3];\nrz(0.1) q[3];\n", _call("rz", 0.1, -1)),
+    (_on_two_qubits("cx q[0],q[1],q[2];"), _build("cx", (0, 1, 2))),  # three qubits
+    (_on_two_qubits("h;"), _build("h", ())),  # no qubits
+    (_on_two_qubits("rz(0.1) q[2];"), _build("rz", (2,), 0.1)),  # qubit out of range
+    (_on_two_qubits("swap q[0],q[5];"), _build("swap", (0, 5))),
+    (_on_two_qubits("cx q[1],q[1];"), _build("cx", (1, 1))),  # repeated qubit
+    (_on_two_qubits("rz(1e999) q[0];"), _build("rz", (0,), float("1e999"))),  # non-finite angle
+    (_on_two_qubits("cu1(1e) q[0],q[1];"), _build("cu1", (0, 1), float("nan"))),
+    ("qreg q[3];\nrz(0.1) q[3];\n", _build("rz", (-1,), 0.1)),
+    ("// global_phase: 1e999\nqreg q[2];\n", lambda: u.Circuit(2, global_phase=float("1e999"))),
+    ("qreg q[2];\n// global_phase: nan\n", lambda: u.Circuit(2, global_phase=float("nan"))),
+    ("qreg q[2];\nh q[0];\nqreg q[3];\nh q[2];\n", None),  # a second qreg
     ("rz(0.1) q[0];\nqreg q[2];\n", None),  # a gate before qreg
     ("cx q[0],q[1];\n", None),
     ('OPENQASM 2.0;\ninclude "qelib1.inc";\n// global_phase: 0.5\n', None),  # no qreg
