@@ -18,7 +18,8 @@ angle-free gates), plus ``width`` and a finite ``global_phase``.  Circuits are
 built whole, from columns (`Circuit.from_columns`) or from a list of `Gate`
 records (``Circuit(width, gates)``); `exact_circuit` writes the columns
 straight from the sequency walk.  `Gate` is a plain record, checked only when
-it enters a circuit: every constructor validates the table with
+it enters a circuit: every constructor checks that the width and the kind
+and qubit columns hold integers, then validates the table with
 `table_error`.  Concatenation, shifting, reversal, `gate_count` and
 `export_qasm` work on whole columns.  ``circuit.gates`` is a read-only
 `GateView`: its length costs O(1), its items are `Gate` values built on
@@ -105,6 +106,11 @@ class GateView(Sequence):
         return repr(list(self))
 
 
+def _is_index(a: np.ndarray) -> bool:
+    """Whether an array's dtype holds integers that int64 keeps exactly: no bool, float or text."""
+    return a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)
+
+
 def _gate(kind: int, q0: int, q1: int, angle: float) -> Gate:
     return Gate(GATE_NAMES[kind], (q0,) if q1 < 0 else (q0, q1), None if math.isnan(angle) else angle)
 
@@ -113,6 +119,8 @@ class Circuit:
     """One validated gate table over a flat register, plus the accumulated global phase."""
 
     def __init__(self, width: int, gates=(), global_phase: float = 0.0):
+        if np.ndim(width) or not _is_index(np.asarray(width)) or width < 0:
+            raise ValueError(f"register width must be a non-negative integer, got {width!r}")
         if not math.isfinite(global_phase):
             raise ValueError(f"non-finite global phase {global_phase}")
         self.width, self.global_phase = width, global_phase
@@ -125,13 +133,17 @@ class Circuit:
         out._set(kind, q0, q1, angle)
         return out
 
-    def _set(self, kind, *columns) -> None:
-        kind = np.asarray(kind, np.int64)  # checked before the uint8 cast, which would wrap 256 to 0
-        columns = [np.asarray(c, t) for c, t in zip(columns, (np.int64, np.int64, float))]
-        error = table_error(self.width, kind, *columns)
+    def _set(self, kind, q0, q1, angle) -> None:
+        indices = [np.asarray(c) for c in (kind, q0, q1)]
+        if not all(c.size == 0 or _is_index(c) for c in indices):
+            raise ValueError("non-integer gate kind or qubit index in the gate table")
+        # kind is checked as int64, before the uint8 cast, which would wrap 256 to 0
+        kind, q0, q1 = (c.astype(np.int64, copy=False) for c in indices)
+        angle = np.asarray(angle, float)
+        error = table_error(self.width, kind, q0, q1, angle)
         if error is not None:
             raise ValueError(f"{error[1]} in gate {error[0]}")
-        self.kind, (self.q0, self.q1, self.angle) = kind.astype(np.uint8), columns
+        self.kind, self.q0, self.q1, self.angle = kind.astype(np.uint8), q0, q1, angle
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return self.kind, self.q0, self.q1, self.angle
@@ -228,13 +240,10 @@ def truncated_circuit(series: WalshSeries, theta_min: float) -> Circuit:
 
     Truncation comes first, so adjacent kept masks already cost one CNOT per
     bit of their XOR and no cancelling CNOT pair is left to simplify.  The Rz
-    count equals the number of kept nonzero-mask coefficients; the global
-    phase keeps the full mask-0 coefficient regardless of the cutoff.
+    count equals the number of kept nonzero-mask coefficients; truncation
+    keeps mask 0, so the global phase is the full mask-0 coefficient.
     """
-    kept, _ = threshold_truncate(series, theta_min)
-    out = exact_circuit(kept)
-    out.global_phase = series.coefficient(0)
-    return out
+    return exact_circuit(threshold_truncate(series, theta_min)[0])
 
 
 def _commutes_with_cx(cnot: Gate, other: Gate) -> bool:

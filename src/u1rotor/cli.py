@@ -33,8 +33,6 @@ import numpy as np
 from . import __version__
 from .circuits import export_qasm, gate_count, sequency_gate_counts
 from .hamiltonian import (
-    DENSE_LIMIT_QUBITS,
-    TERM_LIMIT_QUBITS,
     CosineTerm,
     build_model,
     dense_matrix,
@@ -209,7 +207,7 @@ def cmd_spectrum(args) -> int:
 
     def lowest(n_q):
         model = _model(lattice, n_q, args.g, formulation, basis, weave)
-        vals = np.linalg.eigvalsh(dense_matrix(model, args.dense_limit))
+        vals = np.linalg.eigvalsh(dense_matrix(model))
         return vals[:levels]
 
     if formulation == "compact" and len(set(nq_list)) < 2:
@@ -250,18 +248,18 @@ def cmd_spectrum(args) -> int:
 # plaquette
 
 
-def plaquette_point(lattice, n_q, g, weave, limit, scan=False):
+def plaquette_point(lattice, n_q, g, weave, scan=False):
     """Plaquette expectation in both bases; optionally scan the weaved widths."""
-    orig = plaquette_expectation(_model(lattice, n_q, g, "compact", "original", None), limit)
+    orig = plaquette_expectation(_model(lattice, n_q, g, "compact", "original", None))
     d_weav = digitize(lattice.n_p, n_q, g, "compact", "weaved", weave)
-    weav = plaquette_expectation(build_model(lattice, d_weav, weave), limit)
+    weav = plaquette_expectation(build_model(lattice, d_weav, weave))
     row = {"g": g, "original": orig, "weaved": weav,
            "ratio": weav / orig if abs(orig) > 1e-300 else None}
     if scan:
         best = (None, np.inf)
         for scale in np.linspace(0.6, 1.4, 33):
             d_s = Digitization(n_q, g, scale * d_weav.b_max, "compact", "weaved")
-            val = plaquette_expectation(build_model(lattice, d_s, weave), limit)
+            val = plaquette_expectation(build_model(lattice, d_s, weave))
             diff = abs(val - orig)
             if diff < best[1]:
                 best = (scale, diff)
@@ -276,10 +274,7 @@ def cmd_plaquette(args) -> int:
     if weave is None:
         raise SystemExit("plaquette comparison needs a weave; pass --weave for this n_p")
 
-    points = _pmap(
-        lambda g: plaquette_point(lattice, n_q, float(g), weave, args.dense_limit, scan),
-        gs, args.workers,
-    )
+    points = _pmap(lambda g: plaquette_point(lattice, n_q, float(g), weave, scan), gs, args.workers)
     columns = ["g", "plaquette_original", "plaquette_weaved", "ratio"]
     if scan:
         columns += ["scan_scale", "scan_diff"]
@@ -399,7 +394,7 @@ def cmd_l1(args) -> int:
             if n > limit:
                 raise ResourceLimitError(f"term spans {n} qubits, above --qubit-limit {limit}")
             # the term's own series: embedding moves masks, not coefficients
-            val = l1_norm(term_series(_bare_cosine(n_p, g), d, 1.0, min(limit, TERM_LIMIT_QUBITS)))
+            val = l1_norm(term_series(_bare_cosine(n_p, g), d, 1.0))
             rows.append((n_q, n_p, n, val, 2.0 ** ((n - 5) / 4.0)))
     config = dict(nq=args.nq, np=args.np, qubit_limit=limit,
                   bmax_over_pi=args.bmax_over_pi, g=g)
@@ -509,7 +504,6 @@ _FLAGS = dict(
     axis=dict(choices=["np", "nq", "g", "theta"]),
     term=dict(choices=["magnetic", "maximal", "cosine", "electric", "step"]),
     levels=dict(type=_positive_int, help="number of eigenvalues"),
-    dense_limit=dict(type=_positive_int, help="dense diagonalization qubit cap"),
     qubit_limit=dict(type=_positive_int, help="largest register to transform"),
     bmax_over_pi=dict(type=float, help="fixed half-width as a fraction of pi"),
     scan_bmax=dict(action="store_true", help="scan a width scale per coupling"),
@@ -526,11 +520,9 @@ _REQUIRED = object()
 _COMMANDS = {
     "spectrum": (cmd_spectrum, "digitized spectra vs reference", dict(
         lattice=_REQUIRED, nqs=_REQUIRED, g=0.5, formulation="non-compact", basis="original",
-        weave=None, levels=10, dense_limit=DENSE_LIMIT_QUBITS,
-        format="csv", out=None, workers=1, config=None)),
+        weave=None, levels=10, format="csv", out=None, workers=1, config=None)),
     "plaquette": (cmd_plaquette, "plaquette expectation across couplings", dict(
-        lattice=_REQUIRED, nq=3, g_grid="0.01:10:20:log", weave=None,
-        dense_limit=DENSE_LIMIT_QUBITS, scan_bmax=False,
+        lattice=_REQUIRED, nq=3, g_grid="0.01:10:20:log", weave=None, scan_bmax=False,
         format="csv", out=None, workers=1, config=None)),
     "gatecount": (cmd_gatecount, "gate counts along a sweep axis", dict(
         axis="theta", term="magnetic", lattice=None, nqs=None, nps=None, g=0.1,

@@ -14,6 +14,12 @@ the per-plaquette discrete Fourier transform ``F[l, m] = w^{lm} / sqrt(N)``,
 pairing magnetic grid index ``l`` with rotor grid index ``m``;
 `circuits.qft_circuit` realizes the same matrix, which is what makes circuit
 evolution and dense evolution comparable.
+
+The qubit caps are constants of this module, checked only where memory is
+allocated: `DENSE_LIMIT_QUBITS` in `dense_electric` (so every dense matrix,
+spectrum, evolution and error budget), `TERM_LIMIT_QUBITS` in
+`diagonal_of_term` and `dense_diagonals` (so every Walsh series).  Above a cap
+they raise `ResourceLimitError` before allocating.
 """
 
 from __future__ import annotations
@@ -178,7 +184,13 @@ def build_model(
     )
 
 
-def diagonal_of_term(term, d: Digitization, limit: int = TERM_LIMIT_QUBITS) -> DiagonalValues:
+def _check_cap(what: str, n: int, kind: str, cap: int) -> None:
+    """Raise before allocating when ``what`` spans more than ``cap`` qubits."""
+    if n > cap:
+        raise ResourceLimitError(f"{what} spans {n} qubits, above the {kind} limit of {cap}")
+
+
+def diagonal_of_term(term, d: Digitization) -> DiagonalValues:
     """Joint diagonal of one term over its support plaquettes.
 
     The first support plaquette is the most significant digit of the joint
@@ -187,10 +199,7 @@ def diagonal_of_term(term, d: Digitization, limit: int = TERM_LIMIT_QUBITS) -> D
     support = term.plaquettes
     s = len(support)
     n = s * d.n_q
-    if n > limit:
-        raise ResourceLimitError(
-            f"term spans {n} qubits, above the dense diagonal limit of {limit}"
-        )
+    _check_cap("term", n, "dense diagonal", TERM_LIMIT_QUBITS)
     if isinstance(term, CosineTerm):
         arg = 0.0
         for p, c in term.support:
@@ -227,12 +236,9 @@ def _register_sum(terms, d: Digitization) -> np.ndarray:
     return total
 
 
-def dense_diagonals(model: HamiltonianModel, limit: int = TERM_LIMIT_QUBITS):
+def dense_diagonals(model: HamiltonianModel):
     """Full-register electric (rotor basis) and magnetic (field basis) diagonals."""
-    if model.n_qubits > limit:
-        raise ResourceLimitError(
-            f"register spans {model.n_qubits} qubits, above the diagonal limit of {limit}"
-        )
+    _check_cap("register", model.n_qubits, "diagonal", TERM_LIMIT_QUBITS)
     d = model.digitization
     return _register_sum(model.electric, d).ravel(), _register_sum(model.magnetic, d).ravel()
 
@@ -257,16 +263,13 @@ def fourier_conjugate(diagonal: np.ndarray, states: np.ndarray) -> np.ndarray:
     )
 
 
-def dense_electric(model: HamiltonianModel, limit: int = DENSE_LIMIT_QUBITS) -> np.ndarray:
+def dense_electric(model: HamiltonianModel) -> np.ndarray:
     """Electric Hamiltonian F diag(e) F^dagger in the magnetic basis, as a dense matrix.
 
     Columns are transformed `_COLUMN_BLOCK` at a time into the preallocated
     matrix, which bounds the transform's scratch memory.
     """
-    if model.n_qubits > limit:
-        raise ResourceLimitError(
-            f"register spans {model.n_qubits} qubits, above the dense limit of {limit}"
-        )
+    _check_cap("register", model.n_qubits, "dense", DENSE_LIMIT_QUBITS)
     e = _register_sum(model.electric, model.digitization)
     dim = e.size
     h_e = np.empty((dim, dim), dtype=complex)
@@ -277,9 +280,9 @@ def dense_electric(model: HamiltonianModel, limit: int = DENSE_LIMIT_QUBITS) -> 
     return h_e
 
 
-def dense_matrix(model: HamiltonianModel, limit: int = DENSE_LIMIT_QUBITS) -> np.ndarray:
+def dense_matrix(model: HamiltonianModel) -> np.ndarray:
     """Full Hamiltonian in the magnetic basis; Hermitian to 1e-10 by construction."""
-    h = dense_electric(model, limit)
+    h = dense_electric(model)
     _, b_diag = dense_diagonals(model)
     h[np.diag_indices_from(h)] += b_diag
     dev = np.abs(h - h.conj().T).max()
@@ -333,18 +336,18 @@ def noncompact_spectrum_oracle(lattice: LatticeSpec, count: int) -> np.ndarray:
     return np.array(energies)
 
 
-def ground_state(model: HamiltonianModel, limit: int = DENSE_LIMIT_QUBITS):
+def ground_state(model: HamiltonianModel):
     """Lowest eigenpair of the dense Hamiltonian."""
-    h = dense_matrix(model, limit)
+    h = dense_matrix(model)
     vals, vecs = np.linalg.eigh(h)
     return float(vals[0]), vecs[:, 0]
 
 
-def plaquette_expectation(model: HamiltonianModel, limit: int = DENSE_LIMIT_QUBITS) -> float:
+def plaquette_expectation(model: HamiltonianModel) -> float:
     """Ground-state plaquette 1 + g^2/(n_p + 1) <H_B>; compact formulation only."""
     if model.digitization.formulation != "compact":
         raise ValueError("plaquette expectation is defined in the compact formulation")
-    _, psi = ground_state(model, limit)
+    _, psi = ground_state(model)
     _, b_diag = dense_diagonals(model)
     h_b = float(np.real(np.vdot(psi, b_diag * psi)))
     g = model.digitization.g

@@ -33,7 +33,7 @@ class WeaveUnavailableError(LookupError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A dense construction would exceed the configured qubit limit."""
+    """A construction would exceed one of the qubit caps of `hamiltonian`."""
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,16 @@ class WeaveMatrix:
         return self.w.shape[0]
 
 
-def weave_from_matrix(w: np.ndarray, tol: float = WEAVE_ORTHO_TOL) -> WeaveMatrix:
-    """Validate orthogonality and attach the cosine-argument rows."""
+def weave_from_matrix(w: np.ndarray) -> WeaveMatrix:
+    """Validate finite orthogonality and attach the cosine-argument rows."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weave must be square, got shape {w.shape}")
-    dev = np.abs(w.T @ w - np.eye(w.shape[0])).max()
-    if dev > tol:
+    with np.errstate(invalid="ignore"):  # inf entries give NaN, which fails the check below
+        dev = np.abs(w.T @ w - np.eye(w.shape[0])).max()
+    if not dev <= WEAVE_ORTHO_TOL:
         raise ValueError(
-            f"weave matrix is not orthogonal: max |W^T W - 1| = {dev:.3e} > {tol:.1e}"
+            f"weave matrix is not orthogonal: max |W^T W - 1| = {dev:.3e} > {WEAVE_ORTHO_TOL:.1e}"
         )
     m = np.vstack([w, -w.sum(axis=0)])
     return WeaveMatrix(w, m)
@@ -130,15 +131,16 @@ def save_weave(weave: WeaveMatrix, path) -> None:
         fh.write("\n")
 
 
-def b_max_noncompact(g: float, n_q: int, beta_r: float = 1.0, beta_b: float = 1.0) -> float:
-    """Optimal half-width for an unbounded quadratic field at coupling g."""
-    if not all(0 < v < math.inf for v in (g, beta_r, beta_b)):
-        raise ValueError(
-            "coupling and harmonic-matching constants must be positive and finite, "
-            f"got g={g}, beta_r={beta_r}, beta_b={beta_b}"
-        )
+def b_max_noncompact(g: float, n_q: int) -> float:
+    """Optimal half-width for an unbounded quadratic field at coupling g.
+
+    The harmonic-matching constants beta_r = beta_b = 1 of every plaquette
+    are folded in: their factor sqrt(beta_r / beta_b) is exactly 1.
+    """
+    if not 0 < g < math.inf:
+        raise ValueError(f"coupling must be positive and finite, got g={g}")
     big_n = 1 << n_q
-    return g * (big_n / 2.0) * math.sqrt(beta_r / beta_b) * math.sqrt(math.sqrt(8.0) * math.pi / big_n)
+    return g * (big_n / 2.0) * math.sqrt(math.sqrt(8.0) * math.pi / big_n)
 
 
 def cosine_cap(weave: WeaveMatrix | None, plaquette: int) -> float:
@@ -152,16 +154,9 @@ def cosine_cap(weave: WeaveMatrix | None, plaquette: int) -> float:
     return math.pi / float(nonzero.min())
 
 
-def b_max_compact(
-    g: float,
-    n_q: int,
-    plaquette: int = 0,
-    weave: WeaveMatrix | None = None,
-    beta_r: float = 1.0,
-    beta_b: float = 1.0,
-) -> float:
+def b_max_compact(g: float, n_q: int, plaquette: int = 0, weave: WeaveMatrix | None = None) -> float:
     """Compact-formulation half-width: the unbounded value clamped at its cap."""
-    return min(b_max_noncompact(g, n_q, beta_r, beta_b), cosine_cap(weave, plaquette))
+    return min(b_max_noncompact(g, n_q), cosine_cap(weave, plaquette))
 
 
 @dataclass(frozen=True)
@@ -207,27 +202,19 @@ def digitize(
     formulation: str,
     basis: str = "original",
     weave: WeaveMatrix | None = None,
-    beta_r=1.0,
-    beta_b=1.0,
 ) -> Digitization:
-    """Apply the half-width prescriptions to every independent plaquette.
-
-    The harmonic-matching constants default to 1 for every plaquette and may
-    be given per plaquette as arrays.
-    """
+    """Apply the half-width prescriptions to every independent plaquette."""
     if basis == "weaved" and weave is None:
         raise ValueError("weaved basis requires a weave matrix")
     if weave is not None and weave.n_p != n_p:
         raise ValueError(f"weave is {weave.n_p}x{weave.n_p} but lattice has n_p={n_p}")
-    br = np.broadcast_to(np.asarray(beta_r, dtype=float), (n_p,))
-    bb = np.broadcast_to(np.asarray(beta_b, dtype=float), (n_p,))
     b_max = np.empty(n_p)
     for i in range(n_p):
         if formulation == "non-compact":
-            b_max[i] = b_max_noncompact(g, n_q, br[i], bb[i])
+            b_max[i] = b_max_noncompact(g, n_q)
         else:
             cap_weave = weave if basis == "weaved" else None
-            b_max[i] = b_max_compact(g, n_q, i, cap_weave, br[i], bb[i])
+            b_max[i] = b_max_compact(g, n_q, i, cap_weave)
     return Digitization(n_q, g, b_max, formulation, basis)
 
 

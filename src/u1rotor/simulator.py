@@ -24,7 +24,6 @@ import numpy as np
 
 from .circuits import CU1, CX, GATE_NAMES, H, RZ, SWAP, Circuit, table_error
 from .hamiltonian import (
-    DENSE_LIMIT_QUBITS,
     TERM_LIMIT_QUBITS,
     HamiltonianModel,
     dense_matrix,
@@ -137,11 +136,9 @@ def loschmidt(model: HamiltonianModel, plan: TrotterPlan) -> float:
     return float(abs(np.vdot(psi0, psi.ravel())) ** 2)
 
 
-def exact_evolution(
-    model: HamiltonianModel, t: float, limit: int = DENSE_LIMIT_QUBITS
-) -> np.ndarray:
+def exact_evolution(model: HamiltonianModel, t: float) -> np.ndarray:
     """Dense exp(-i H t) via eigendecomposition; the error-measurement oracle."""
-    h = dense_matrix(model, limit)
+    h = dense_matrix(model)
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * vals * t)[None, :]) @ vecs.conj().T
 

@@ -20,14 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import Circuit, exact_circuit, qft_circuit, sequency_gate_counts
-from .hamiltonian import (
-    DENSE_LIMIT_QUBITS,
-    HamiltonianModel,
-    TERM_LIMIT_QUBITS,
-    dense_diagonals,
-    dense_electric,
-    diagonal_of_term,
-)
+from .hamiltonian import HamiltonianModel, dense_diagonals, dense_electric, diagonal_of_term
 from .lattice import b_grid, digitize, embed_positions
 from .walsh import DiagonalValues, WalshSeries, embed, fwt, merge, threshold_truncate
 
@@ -74,25 +67,20 @@ class TrotterPlan:
         return self.steps * self.dt
 
 
-def term_series(term, d, scale: float, limit: int = TERM_LIMIT_QUBITS) -> WalshSeries:
+def term_series(term, d, scale: float) -> WalshSeries:
     """Walsh series of scale * term on the register of the term's own plaquettes."""
-    diag = diagonal_of_term(term, d, limit)
+    diag = diagonal_of_term(term, d)
     return fwt(DiagonalValues(diag.n, scale * diag.values))
 
 
-def hamiltonian_series(
-    terms,
-    d,
-    scale: float,
-    limit: int = TERM_LIMIT_QUBITS,
-) -> WalshSeries:
+def hamiltonian_series(terms, d, scale: float) -> WalshSeries:
     """Merged full-register Walsh series of scale * sum(terms).
 
     ``d`` is the digitization; the register spans all of its plaquettes.
     """
     width = d.n_p * d.n_q
     parts = [
-        embed(term_series(term, d, scale, limit), embed_positions(term.plaquettes, d.n_q), width)
+        embed(term_series(term, d, scale), embed_positions(term.plaquettes, d.n_q), width)
         for term in terms
     ]
     if not parts:
@@ -112,15 +100,6 @@ def factor_series(model: HamiltonianModel, plan: TrotterPlan):
     return series_e, series_b
 
 
-def _truncate_factor(series: WalshSeries, theta: float) -> tuple[WalshSeries, int]:
-    """Threshold-truncate every nonzero mask; mask 0, the global phase, always stays."""
-    kept, dropped = threshold_truncate(series, theta)
-    phase = series.coefficient(0)
-    if kept.coefficient(0) == phase:
-        return kept, dropped
-    return merge([kept, WalshSeries(series.n, {0: phase})]), dropped - 1
-
-
 def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
     """(electric, magnetic) step-factor series kept at the plan's resolved cutoffs.
 
@@ -129,8 +108,8 @@ def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
     exp(i * state_values(kept)), its mask-0 coefficient included.
     """
     series_e, series_b = factor_series(model, plan)
-    kept_e, _ = _truncate_factor(series_e, plan.theta_e.resolve(plan.dt))
-    kept_b, _ = _truncate_factor(series_b, plan.theta_b.resolve(plan.dt))
+    kept_e, _ = threshold_truncate(series_e, plan.theta_e.resolve(plan.dt))
+    kept_b, _ = threshold_truncate(series_b, plan.theta_b.resolve(plan.dt))
     return kept_e, kept_b
 
 
@@ -187,33 +166,25 @@ class ErrorBudget:
     bound: float
 
 
-def error_bound(
-    model: HamiltonianModel,
-    plan: TrotterPlan,
-    c_e: float | None = None,
-    c_b: float | None = None,
-    limit: int = DENSE_LIMIT_QUBITS,
-) -> ErrorBudget:
+def error_bound(model: HamiltonianModel, plan: TrotterPlan) -> ErrorBudget:
     """Evaluate the first-order error bound for a plan.
 
     alpha is the spectral norm of the dense commutator [H_E, H_B].  The
-    truncation constants default to the coherent worst case, the per-step
-    drop counts spread over t/dt steps; pass explicit values to override.
+    truncation constants are the coherent worst case: the per-step drop
+    counts of `threshold_truncate`, spread over t/dt steps.
     """
-    h_e = dense_electric(model, limit)
+    h_e = dense_electric(model)
     _, b_diag = dense_diagonals(model)
     comm = h_e * b_diag[None, :] - b_diag[:, None] * h_e
     alpha = float(np.linalg.norm(comm, ord=2))
     series_e, series_b = factor_series(model, plan)
     theta_e = plan.theta_e.resolve(plan.dt)
     theta_b = plan.theta_b.resolve(plan.dt)
-    if c_e is None:
-        c_e = _truncate_factor(series_e, theta_e)[1] / plan.dt
-    if c_b is None:
-        c_b = _truncate_factor(series_b, theta_b)[1] / plan.dt
+    c_e = threshold_truncate(series_e, theta_e)[1] / plan.dt
+    c_b = threshold_truncate(series_b, theta_b)[1] / plan.dt
     t = plan.t
     bound = alpha * t * plan.dt + c_e * theta_e * t + c_b * theta_b * t
-    return ErrorBudget(alpha, float(c_e), float(c_b), theta_e, theta_b, float(bound))
+    return ErrorBudget(alpha, c_e, c_b, theta_e, theta_b, bound)
 
 
 @dataclass(frozen=True)
@@ -233,28 +204,28 @@ def n_drop_monotonicity_check(
         p = replace(plan, dt=dt)
         series_e, series_b = factor_series(model, p)
         drops.append(
-            _truncate_factor(series_e, p.theta_e.resolve(dt))[1]
-            + _truncate_factor(series_b, p.theta_b.resolve(dt))[1]
+            threshold_truncate(series_e, p.theta_e.resolve(dt))[1]
+            + threshold_truncate(series_b, p.theta_b.resolve(dt))[1]
         )
     monotone = all(a <= b for a, b in zip(drops, drops[1:]))
     return NDropReport(dts, tuple(drops), monotone)
 
 
-def product_scaling_study(n_q=2, np_max=8, g=0.1, theta_exponents=range(0, 37)):
+def product_scaling_study(n_q=2, np_max=8, g=0.1):
     """CNOT counts and polynomial fits for exp(i * cos x ... cos x) products.
 
     Fits CNOT(n_p) for n_p = 1..np_max to an exact interpolating polynomial
     sum b_k n_p^k per cutoff, and estimates the cutoff where each power turns
     on as the geometric midpoint between the last grid point without it and
     the first with it.  Predictions are 2 * A2^r with A2 the second largest
-    single-cosine coefficient magnitude.
+    single-cosine coefficient magnitude.  The cutoffs are 2^-k for k = 0..36.
     """
     d = digitize(1, n_q, g, "compact")
     f = np.cos(b_grid(d, 0).values)
     single = np.sort(np.abs(fwt(DiagonalValues(n_q, f)).coeffs))[::-1]
     a2 = float(single[1])
 
-    thetas = [2.0**-k for k in theta_exponents]
+    thetas = [2.0**-k for k in range(37)]
     counts = np.zeros((len(thetas), np_max), dtype=int)
     joint = np.ones(1)
     for n_p in range(1, np_max + 1):

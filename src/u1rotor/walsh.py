@@ -251,14 +251,15 @@ def merge(series_list) -> WalshSeries:
 
 
 def threshold_truncate(series: WalshSeries, theta_min: float) -> tuple[WalshSeries, int]:
-    """Drop every entry whose rotation angle magnitude 2|a_j| falls below theta_min.
+    """Drop every nonzero mask whose rotation angle magnitude 2|a_j| falls below theta_min.
 
-    Keeps exactly the entries with |a_j| >= theta_min / 2 and returns the
-    surviving series together with the number of dropped entries.
+    Keeps mask 0, the global phase, and exactly the other entries with
+    |a_j| >= theta_min / 2; returns the surviving series together with the
+    number of dropped entries.
     """
     if not theta_min >= 0:
         raise ValueError(f"cutoff must be non-negative, got {theta_min}")
-    keep = np.abs(series.coeffs) >= theta_min / 2.0
+    keep = (np.abs(series.coeffs) >= theta_min / 2.0) | ~series.words.any(axis=1)
     kept = WalshSeries._of(series.n, series.words[keep], series.coeffs[keep])
     return kept, len(series) - len(kept)
 

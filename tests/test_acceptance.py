@@ -146,7 +146,7 @@ def test_criterion_08_plaquette_band():
     lat = u.LatticeSpec(2, 2)
     weave = u.builtin_weave(3)
     gs = np.geomspace(0.01, 10.0, 20)
-    points = [plaquette_point(lat, 3, float(g), weave, 14) for g in gs]
+    points = [plaquette_point(lat, 3, float(g), weave) for g in gs]
     ratios = np.array([p["ratio"] for p in points])
     weak = points[0]["original"]
     strong = points[-1]["original"]

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 from pathlib import Path
 
@@ -325,12 +326,18 @@ BAD_INPUT_MESSAGES = {
     ["l1", "--config", "{tmp}/list.json"],
     ["plaquette", "--lattice", "2x2", "--nq", "2", "--weave", "{tmp}/missing.json"],
     ["plaquette", "--lattice", "2x2", "--nq", "2", "--weave", "{tmp}/empty.json"],
+    # a NaN weave entry passed the orthogonality check and silently dropped terms
+    ["gatecount", "--axis", "g", "--term", "magnetic", "--basis", "weaved", "--np", "3",
+     "--nq", "2", "--g-grid", "1:1:1:lin", "--weave", "{tmp}/nan_weave.json"],
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--basis", "weaved", "--g-grid", "1:1:1:lin",
+     "--weave", "{tmp}/nan_weave.json"],
     # the 2x2 n_q=1 matrix has 8 levels: 10 died in an IndexError, -2 wrote a
     # header-only table, and 0 silently meant 10
     ["spectrum", "--lattice", "2x2", "--nq", "1", "--levels", "10"],
     ["spectrum", "--lattice", "2x2", "--nq", "1", "--levels", "-2"],
     ["spectrum", "--lattice", "2x2", "--nq", "2", "--levels", "0"],
-    # zero limits silently became the defaults 14 and 16
+    # --dense-limit is an unknown flag (the dense cap is a constant); a zero
+    # --qubit-limit silently became the default 16
     ["spectrum", "--lattice", "2x2", "--nq", "1", "--levels", "4", "--dense-limit", "0"],
     ["l1", "--nq", "2", "--qubit-limit", "0"],
     # without a lattice or widths these died in an AttributeError or a TypeError
@@ -360,6 +367,9 @@ def test_bad_input_exits_without_table(tmp_path, argv):
     (tmp_path / "malformed.json").write_text('{"nq": ')
     (tmp_path / "list.json").write_text("[2, 3]")
     (tmp_path / "empty.json").write_text("{}")
+    rows = u.builtin_weave(3).w.tolist()
+    rows[0][2] = math.nan
+    (tmp_path / "nan_weave.json").write_text(json.dumps({"n_p": 3, "rows": rows}))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     out = tmp_path / "table.csv"
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import u1rotor as u
+from u1rotor.trotter import term_series
 
 
 def _model(n_q=2, g=0.5, formulation="compact", basis="original", weave=None, lat=None):
@@ -107,17 +108,29 @@ def test_diagonal_of_bilinear_outer_product():
 
 
 def test_diagonal_term_resource_limit():
-    d = u.digitize(3, 2, 0.7, "non-compact")
-    with pytest.raises(u.ResourceLimitError, match="limit"):
-        u.diagonal_of_term(u.BilinearTerm("BB", 0, 1, 1.0), d, limit=3)
+    # a 24 q term, above the 22 q cap, raises from every entry point before allocating
+    d = u.digitize(2, 12, 0.7, "non-compact")
+    term = u.BilinearTerm("BB", 0, 1, 1.0)
+    entries = (lambda: u.diagonal_of_term(term, d), lambda: term_series(term, d, 1.0),
+               lambda: u.hamiltonian_series([term], d, 1.0))
+    for entry in entries:
+        with pytest.raises(u.ResourceLimitError, match="limit"):
+            entry()
 
 
 def test_dense_matrix_hermitian_and_limits():
     model = _model(n_q=2)
     h = u.dense_matrix(model)
     assert np.abs(h - h.conj().T).max() < 1e-10
-    with pytest.raises(u.ResourceLimitError):
-        u.dense_matrix(model, limit=5)
+    # a 15 q model (4x4, n_q = 1), above the 14 q dense cap, raises before allocating
+    big = _model(n_q=1, lat=u.LatticeSpec(4, 4))
+    assert big.n_qubits == 15
+    plan = u.TrotterPlan(1, 0.1, 1)
+    entries = (u.dense_matrix, u.ground_state, u.plaquette_expectation,
+               lambda m: u.exact_evolution(m, 0.1), lambda m: u.error_bound(m, plan))
+    for entry in entries:
+        with pytest.raises(u.ResourceLimitError, match="above the dense limit of 14"):
+            entry(big)
 
 
 def test_dense_matrix_matches_fourier_route():

@@ -35,8 +35,6 @@ def test_b_max_noncompact_scalings():
     assert u.b_max_noncompact(0.3, 4) == pytest.approx(SQRT2 * base, rel=1e-14)
     with pytest.raises(ValueError):
         u.b_max_noncompact(-1.0, 2)
-    with pytest.raises(ValueError):
-        u.b_max_noncompact(1.0, 2, beta_r=0.0)
     # NaN compares False with everything, so `g <= 0` alone let it through
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -105,12 +103,16 @@ def test_load_weave_round_trip(tmp_path):
 
 
 def test_load_weave_rejects_non_orthogonal(tmp_path):
-    rows = u.builtin_weave(3).w.copy()
-    rows[0, 0] += 1e-6
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"n_p": 3, "rows": rows.tolist()}))
-    with pytest.raises(ValueError, match="orthogonal"):
-        u.load_weave(path)
+    # a NaN or inf entry fails the check too: `dev > tol` alone is False for NaN
+    for bad in (1e-6, math.nan, math.inf):
+        rows = u.builtin_weave(3).w.copy()
+        rows[0, 0] += bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_p": 3, "rows": rows.tolist()}))
+        with pytest.raises(ValueError, match="orthogonal"):
+            u.load_weave(path)
+        with pytest.raises(ValueError, match="orthogonal"):
+            u.weave_from_matrix(rows)
 
 
 def test_degenerate_weave_column_rejected():

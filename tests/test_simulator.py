@@ -321,6 +321,14 @@ def _build(*gate):
     (_on_two_qubits("rz(1e999) q[0];"), _build("rz", (0,), float("1e999"))),  # non-finite angle
     (_on_two_qubits("cu1(1e) q[0],q[1];"), _build("cu1", (0, 1), float("nan"))),
     ("qreg q[3];\nrz(0.1) q[3];\n", _build("rz", (-1,), 0.1)),
+    # non-integer qubits and widths used to be cast to int64 (1.7 and "1" meant qubit 1)
+    (_on_two_qubits("rz(0.1) q[1.7];"), _build("rz", (1.7,), 0.1)),
+    (_on_two_qubits("rz(0.1) q[\"1\"];"), _build("rz", ("1",), 0.1)),
+    (_on_two_qubits("cx q[0],q[1.0];"), _build("cx", (0, 1.0))),
+    (_on_two_qubits("rz(0.1) q[0.7];"), lambda: u.Circuit.from_columns(2, [0.7], [0], [-1], [0.1])),
+    ("qreg q[2.5];\n", lambda: u.Circuit(2.5)),
+    ("qreg q[-1];\n", lambda: u.Circuit(-1)),
+    ('qreg q["2"];\n', lambda: u.Circuit("2")),
     ("// global_phase: 1e999\nqreg q[2];\n", lambda: u.Circuit(2, global_phase=float("1e999"))),
     ("qreg q[2];\n// global_phase: nan\n", lambda: u.Circuit(2, global_phase=float("nan"))),
     ("qreg q[2];\nh q[0];\nqreg q[3];\nh q[2];\n", None),  # a second qreg

@@ -129,10 +129,16 @@ def test_error_bound_holds_on_sample_points():
 
 
 def test_error_bound_override_constants():
+    # the truncation constants are the per-step drop counts over dt, and the bound
+    # combines them with alpha by the documented formula
     model = _model()
     plan = u.TrotterPlan(1, 0.2, 1, u.ThetaPolicy("abs", 0.3), u.ThetaPolicy("abs", 0.3))
-    budget = u.error_bound(model, plan, c_e=2.0, c_b=1.0)
-    expected = budget.alpha * 0.2 * 0.2 + 2.0 * 0.3 * 0.2 + 1.0 * 0.3 * 0.2
+    budget = u.error_bound(model, plan)
+    series_e, series_b = factor_series(model, plan)
+    drops = [u.threshold_truncate(s, 0.3)[1] for s in (series_e, series_b)]
+    assert (budget.c_e * 0.2, budget.c_b * 0.2) == pytest.approx(drops)
+    assert drops[0] + drops[1] > 0
+    expected = budget.alpha * 0.2 * 0.2 + budget.c_e * 0.3 * 0.2 + budget.c_b * 0.3 * 0.2
     assert budget.bound == pytest.approx(expected)
 
 

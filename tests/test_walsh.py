@@ -230,8 +230,9 @@ def test_threshold_truncate():
     series = u.fwt(u.DiagonalValues(2, _cos_grid_values()))
     same, dropped = u.threshold_truncate(series, 0.0)
     assert same.items() == series.items() and dropped == 0
-    empty, dropped = u.threshold_truncate(series, 3.0)
-    assert len(empty) == 0 and dropped == 4
+    # mask 0, the global phase, is never dropped
+    phase_only, dropped = u.threshold_truncate(series, 3.0)
+    assert [m for m, _ in phase_only.items()] == [0] and dropped == 3
     # cutoff just above twice the 1.10e-2 magnitudes: only the identity stays
     kept, dropped = u.threshold_truncate(series, 2.3e-2)
     assert [m for m, _ in kept.items()] == [0] and dropped == 3
