@@ -7,9 +7,12 @@ either ``B^2/2`` bilinears (non-compact) or ``n_p + 1`` cosines (compact):
 one per independent plaquette plus the maximally coupled constraint row.
 All additive constants are dropped.
 
-Dense matrices live in the magnetic basis, H = F diag(e) F^dagger + diag(b).
-The diagonals ``e`` (rotor basis) and ``b`` (field basis) sum
-`diagonal_of_term` over the model's terms, and `fourier_conjugate` applies
+Each term's diagonal is a plain grid tensor (`diagonal_of_term`) of shape
+``(N,)*len(support)``, axis i over the grid index of support plaquette i;
+only `walsh.fwt` reads its raveled form as dyadic samples.  Dense matrices
+live in the magnetic basis, H = F diag(e) F^dagger + diag(b).  The diagonals
+``e`` (rotor basis) and ``b`` (field basis) place the term tensors on the
+``(N,)*n_p`` register tensor and sum them, and `fourier_conjugate` applies
 the per-plaquette discrete Fourier transform ``F[l, m] = w^{lm} / sqrt(N)``,
 pairing magnetic grid index ``l`` with rotor grid index ``m``;
 `circuits.qft_circuit` realizes the same matrix, which is what makes circuit
@@ -39,7 +42,6 @@ from .lattice import (
     identity_weave,
     r_grid,
 )
-from .walsh import DiagonalValues
 
 DENSE_LIMIT_QUBITS = 14  # full matrices / diagonalization
 TERM_LIMIT_QUBITS = 22  # per-term and full-register diagonals
@@ -129,11 +131,6 @@ def magnetic_quadratic_form(n_p: int, weave: WeaveMatrix | None = None) -> np.nd
     return q
 
 
-def cosine_rows(n_p: int, weave: WeaveMatrix | None = None) -> np.ndarray:
-    """The n_p + 1 cosine-argument rows of the compact magnetic Hamiltonian."""
-    return (weave if weave is not None else identity_weave(n_p)).m
-
-
 def _bilinears(kind: str, q: np.ndarray) -> list[BilinearTerm]:
     terms = []
     n = q.shape[0]
@@ -154,7 +151,7 @@ def electric_terms(lattice: LatticeSpec, weave: WeaveMatrix | None = None) -> li
 def magnetic_terms(d: Digitization, weave: WeaveMatrix | None = None):
     """Magnetic summands: cosine rows (compact) or field bilinears (non-compact)."""
     if d.formulation == "compact":
-        rows = cosine_rows(d.n_p, weave)
+        rows = (weave if weave is not None else identity_weave(d.n_p)).m
         terms = []
         for row in rows:
             support = tuple(
@@ -190,34 +187,29 @@ def _check_cap(what: str, n: int, kind: str, cap: int) -> None:
         raise ResourceLimitError(f"{what} spans {n} qubits, above the {kind} limit of {cap}")
 
 
-def diagonal_of_term(term, d: Digitization) -> DiagonalValues:
-    """Joint diagonal of one term over its support plaquettes.
+def diagonal_of_term(term, d: Digitization) -> np.ndarray:
+    """Diagonal of one term as a grid tensor over its support plaquettes.
 
-    The first support plaquette is the most significant digit of the joint
-    sample index; grids are read per plaquette from the digitization.
+    The tensor has shape ``(N,)*len(support)``; axis i runs over the grid of
+    support plaquette i, as read from the digitization.
     """
     support = term.plaquettes
-    s = len(support)
-    n = s * d.n_q
-    _check_cap("term", n, "dense diagonal", TERM_LIMIT_QUBITS)
+    _check_cap("term", len(support) * d.n_q, "dense diagonal", TERM_LIMIT_QUBITS)
     if isinstance(term, CosineTerm):
         arg = 0.0
         for p, c in term.support:
-            arg = np.add.outer(arg, c * b_grid(d, p).values)
-        values = (term.prefactor / d.g**2) * np.cos(arg)
-        return DiagonalValues(n, values.ravel())
+            arg = np.add.outer(arg, c * b_grid(d, p))
+        return (term.prefactor / d.g**2) * np.cos(arg)
 
     if term.kind == "RR":
-        grids = [r_grid(d, p).values for p in support]
+        grids = [r_grid(d, p) for p in support]
         scale = 0.5 * d.g**2 * term.coefficient
     else:
-        grids = [b_grid(d, p).values for p in support]
+        grids = [b_grid(d, p) for p in support]
         scale = 0.5 / d.g**2 * term.coefficient
-    if s == 1:
-        values = scale * grids[0] ** 2
-    else:
-        values = scale * np.multiply.outer(grids[0], grids[1])
-    return DiagonalValues(n, values.ravel())
+    if len(support) == 1:
+        return scale * grids[0] ** 2
+    return scale * np.multiply.outer(grids[0], grids[1])
 
 
 def _register_sum(terms, d: Digitization) -> np.ndarray:
@@ -230,9 +222,8 @@ def _register_sum(terms, d: Digitization) -> np.ndarray:
     total = np.zeros((big_n,) * d.n_p)
     for term in terms:
         axes = [d.n_p - 1 - p for p in term.plaquettes]
-        block = diagonal_of_term(term, d).values.reshape((big_n,) * len(axes))
         shape = [big_n if a in axes else 1 for a in range(d.n_p)]
-        total += block.transpose(np.argsort(axes)).reshape(shape)
+        total += diagonal_of_term(term, d).transpose(np.argsort(axes)).reshape(shape)
     return total
 
 

@@ -9,10 +9,11 @@ stable.
 
 Each plaquette samples its field on ``2^n_q`` points ``-b_max + l*db`` with
 ``db = 2 b_max / 2^n_q``; the conjugate rotor grid follows from
-``r_max = pi N / (2 b_max)`` and ``dr = pi / b_max``.  The half-width
-prescriptions (`b_max_noncompact`, `b_max_compact`) cap the compact grid at
-pi in the original basis, or at pi over the smallest cosine coefficient of
-the plaquette in the weaved basis.
+``r_max = pi N / (2 b_max)`` and ``dr = pi / b_max``.  `b_grid` and
+`r_grid` return these points as plain arrays indexed by ``l``.  The
+half-width prescriptions (`b_max_noncompact`, `b_max_compact`) cap the
+compact grid at pi in the original basis, or at pi over the smallest cosine
+coefficient of the plaquette in the weaved basis.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .walsh import DiagonalValues
 
 WEAVE_ORTHO_TOL = 1e-10
 
@@ -118,8 +117,10 @@ def load_weave(path) -> WeaveMatrix:
     for key in ("rows", "n_p"):
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"weave file {path} has no {key!r} entry")
+    n_p = data["n_p"]
+    if not isinstance(n_p, int) or isinstance(n_p, bool):
+        raise ValueError(f"weave file {path}: n_p must be an integer, got {n_p!r}")
     rows = np.asarray(data["rows"], dtype=float)
-    n_p = int(data["n_p"])
     if rows.shape != (n_p, n_p):
         raise ValueError(f"expected {n_p}x{n_p} rows, got shape {rows.shape}")
     return weave_from_matrix(rows)
@@ -218,27 +219,27 @@ def digitize(
     return Digitization(n_q, g, b_max, formulation, basis)
 
 
-def b_grid(d: Digitization, plaquette: int) -> DiagonalValues:
+def b_grid(d: Digitization, plaquette: int) -> np.ndarray:
     """Magnetic grid -b_max + l*db for l = 0 .. 2^n_q - 1 (never reaches +b_max)."""
     b = d.b_max[plaquette]
     db = 2.0 * b / d.n_states
-    return DiagonalValues(d.n_q, -b + db * np.arange(d.n_states))
+    return -b + db * np.arange(d.n_states)
 
 
-def r_grid(d: Digitization, plaquette: int) -> DiagonalValues:
+def r_grid(d: Digitization, plaquette: int) -> np.ndarray:
     """Conjugate rotor grid; contains exactly one zero at l = N/2."""
     b = d.b_max[plaquette]
     r_max = math.pi * d.n_states / (2.0 * b)
     dr = math.pi / b
-    return DiagonalValues(d.n_q, -r_max + dr * np.arange(d.n_states))
+    return -r_max + dr * np.arange(d.n_states)
 
 
 def embed_positions(support, n_q: int) -> list[int]:
     """Register positions for a term's local Walsh series.
 
-    A joint diagonal over support plaquettes is sampled with the first
-    plaquette as the most significant digit; the dyadic sampling convention
-    then pins local series qubit ``b*n_q + m`` to register qubit
+    A term's diagonal tensor, raveled, has the first support plaquette as
+    its most significant digit; the dyadic sampling convention of `fwt` then
+    pins local series qubit ``b*n_q + m`` to register qubit
     ``support[b]*n_q + (n_q - 1 - m)``.
     """
     positions = []

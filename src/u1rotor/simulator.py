@@ -93,7 +93,7 @@ def electric_ground_state(model: HamiltonianModel) -> np.ndarray:
     if big_n % 2 != 0:
         raise ValueError("rotor grid has no zero for odd sample counts")
     for p in range(model.n_p):
-        if abs(r_grid(d, p).values[big_n // 2]) > 1e-12:
+        if abs(r_grid(d, p)[big_n // 2]) > 1e-12:
             raise AssertionError("rotor grid zero is not at index N/2")
     f_column = ft_matrix(d.n_q)[:, big_n // 2]
     psi = np.ones(1, dtype=complex)

@@ -22,7 +22,7 @@ import numpy as np
 from .circuits import Circuit, exact_circuit, qft_circuit, sequency_gate_counts
 from .hamiltonian import HamiltonianModel, dense_diagonals, dense_electric, diagonal_of_term
 from .lattice import b_grid, digitize, embed_positions
-from .walsh import DiagonalValues, WalshSeries, embed, fwt, merge, threshold_truncate
+from .walsh import WalshSeries, embed, fwt, merge, threshold_truncate
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class ThetaPolicy:
     def __post_init__(self):
         if self.mode not in ("abs", "dt", "dt2"):
             raise ValueError(f"unknown cutoff policy {self.mode!r}")
-        if not self.value >= 0:
-            raise ValueError(f"cutoff must be non-negative, got {self.value}")
+        if not 0 <= self.value < math.inf:
+            raise ValueError(f"cutoff must be non-negative and finite, got {self.value}")
 
     def resolve(self, dt: float) -> float:
         if self.mode == "abs":
@@ -69,8 +69,7 @@ class TrotterPlan:
 
 def term_series(term, d, scale: float) -> WalshSeries:
     """Walsh series of scale * term on the register of the term's own plaquettes."""
-    diag = diagonal_of_term(term, d)
-    return fwt(DiagonalValues(diag.n, scale * diag.values))
+    return fwt(scale * diagonal_of_term(term, d).ravel())
 
 
 def hamiltonian_series(terms, d, scale: float) -> WalshSeries:
@@ -100,16 +99,22 @@ def factor_series(model: HamiltonianModel, plan: TrotterPlan):
     return series_e, series_b
 
 
+def _truncations(model: HamiltonianModel, plan: TrotterPlan):
+    """((kept_e, dropped_e), (kept_b, dropped_b)) at the plan's resolved cutoffs."""
+    series_e, series_b = factor_series(model, plan)
+    return (threshold_truncate(series_e, plan.theta_e.resolve(plan.dt)),
+            threshold_truncate(series_b, plan.theta_b.resolve(plan.dt)))
+
+
 def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
     """(electric, magnetic) step-factor series kept at the plan's resolved cutoffs.
 
-    This is the one truncation decision behind both `step_circuit` and the
-    fused-phase evolution of `simulator.loschmidt`: each factor is exactly
+    This is the one truncation decision behind `step_circuit`, the
+    fused-phase evolution of `simulator.loschmidt` and the drop counts of
+    `error_bound` and `n_drop_monotonicity_check`: each factor is exactly
     exp(i * state_values(kept)), its mask-0 coefficient included.
     """
-    series_e, series_b = factor_series(model, plan)
-    kept_e, _ = threshold_truncate(series_e, plan.theta_e.resolve(plan.dt))
-    kept_b, _ = threshold_truncate(series_b, plan.theta_b.resolve(plan.dt))
+    (kept_e, _), (kept_b, _) = _truncations(model, plan)
     return kept_e, kept_b
 
 
@@ -177,11 +182,11 @@ def error_bound(model: HamiltonianModel, plan: TrotterPlan) -> ErrorBudget:
     _, b_diag = dense_diagonals(model)
     comm = h_e * b_diag[None, :] - b_diag[:, None] * h_e
     alpha = float(np.linalg.norm(comm, ord=2))
-    series_e, series_b = factor_series(model, plan)
+    (_, dropped_e), (_, dropped_b) = _truncations(model, plan)
     theta_e = plan.theta_e.resolve(plan.dt)
     theta_b = plan.theta_b.resolve(plan.dt)
-    c_e = threshold_truncate(series_e, theta_e)[1] / plan.dt
-    c_b = threshold_truncate(series_b, theta_b)[1] / plan.dt
+    c_e = dropped_e / plan.dt
+    c_b = dropped_b / plan.dt
     t = plan.t
     bound = alpha * t * plan.dt + c_e * theta_e * t + c_b * theta_b * t
     return ErrorBudget(alpha, c_e, c_b, theta_e, theta_b, bound)
@@ -199,14 +204,8 @@ def n_drop_monotonicity_check(
 ) -> NDropReport:
     """Total drop count per step size, checked to be non-decreasing in dt."""
     dts = tuple(sorted(float(x) for x in dts))
-    drops = []
-    for dt in dts:
-        p = replace(plan, dt=dt)
-        series_e, series_b = factor_series(model, p)
-        drops.append(
-            threshold_truncate(series_e, p.theta_e.resolve(dt))[1]
-            + threshold_truncate(series_b, p.theta_b.resolve(dt))[1]
-        )
+    drops = [sum(dropped for _, dropped in _truncations(model, replace(plan, dt=dt)))
+             for dt in dts]
     monotone = all(a <= b for a, b in zip(drops, drops[1:]))
     return NDropReport(dts, tuple(drops), monotone)
 
@@ -221,8 +220,8 @@ def product_scaling_study(n_q=2, np_max=8, g=0.1):
     single-cosine coefficient magnitude.  The cutoffs are 2^-k for k = 0..36.
     """
     d = digitize(1, n_q, g, "compact")
-    f = np.cos(b_grid(d, 0).values)
-    single = np.sort(np.abs(fwt(DiagonalValues(n_q, f)).coeffs))[::-1]
+    f = np.cos(b_grid(d, 0))
+    single = np.sort(np.abs(fwt(f).coeffs))[::-1]
     a2 = float(single[1])
 
     thetas = [2.0**-k for k in range(37)]
@@ -231,7 +230,7 @@ def product_scaling_study(n_q=2, np_max=8, g=0.1):
     for n_p in range(1, np_max + 1):
         joint = np.kron(joint, f)  # earlier factors most significant
         width = n_p * n_q
-        local = fwt(DiagonalValues(width, joint))
+        local = fwt(joint)
         series = embed(local, embed_positions(range(n_p), n_q), width)
         for ti, theta in enumerate(thetas):
             counts[ti, n_p - 1] = sequency_gate_counts(series, theta)["cx"]

@@ -2,15 +2,17 @@
 
 Indices follow the Paley convention: series entry ``j`` multiplies the
 operator that applies sigma^z to every register qubit ``q`` whose bit ``q``
-of ``j`` is set.  Dense diagonals are sampled dyadically: ``values[k]`` is
+of ``j`` is set.  The diagonals that `fwt` reads and `inverse_fwt` returns
+are plain 1-D arrays of ``2^n`` samples in dyadic order: ``values[k]`` is
 the eigenvalue on the basis state whose qubit ``q`` carries bit
 ``n - 1 - q`` of the sample index ``k``.  Together these conventions fix
 the transform pair
 
     a_j = 2^-n * sum_k values[k] * (-1)^popcount(j & reverse_n(k))
 
-which is what `fwt` / `inverse_fwt` implement (``reverse_n`` reverses an
-n-bit string).
+(``reverse_n`` reverses an n-bit string).  Only these two functions know the
+dyadic order; `series_from_state_values` and `state_values` work in plain
+register order, where state index = array index.
 
 A `WalshSeries` of any register width stores mask ``t`` as row ``t`` of a
 ``(terms, ceil(n/64))`` uint64 array ``words`` (qubit ``q`` is bit ``q % 64``
@@ -23,7 +25,7 @@ significant bit form one group, groups ascending, reflected Gray within.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -37,25 +39,6 @@ def bit_reverse(value, width: int):
     for i in range(width):
         out = (out << 1) | ((value >> i) & 1)
     return out
-
-
-@dataclass(frozen=True)
-class DiagonalValues:
-    """Dense real diagonal over ``n`` qubits, sampled in dyadic order."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if self.n < 0:
-            raise ValueError(f"negative register width {self.n}")
-        if vals.shape != (1 << self.n,):
-            raise ValueError(
-                f"expected {1 << self.n} diagonal values for n={self.n}, "
-                f"got shape {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
 
 
 _WORD = (1 << 64) - 1
@@ -146,10 +129,18 @@ def _series_of_state_order(work: np.ndarray, n: int) -> WalshSeries:
     return WalshSeries._of(n, keep.astype(np.uint64).reshape(-1, 1), work[keep])
 
 
-def fwt(values: DiagonalValues) -> WalshSeries:
-    """Forward transform of a dyadically sampled diagonal into a sparse series."""
-    n = values.n
-    return _series_of_state_order(values.values[bit_reverse(np.arange(1 << n), n)], n)
+def _reversed_samples(values: np.ndarray, n: int) -> np.ndarray:
+    """Fresh copy of ``2^n`` samples with entry k moved to the n-bit reversal of k."""
+    return values.reshape((2,) * n).transpose().flatten()
+
+
+def fwt(values) -> WalshSeries:
+    """Forward transform of a 1-D dyadically sampled diagonal into a sparse series."""
+    vals = np.asarray(values, dtype=float)
+    n = max(vals.size.bit_length() - 1, 0)
+    if vals.shape != (1 << n,):
+        raise ValueError(f"expected a 1-D array of 2^n samples, got shape {vals.shape}")
+    return _series_of_state_order(_reversed_samples(vals, n), n)
 
 
 def series_from_state_values(values: np.ndarray, n: int) -> WalshSeries:
@@ -160,10 +151,9 @@ def series_from_state_values(values: np.ndarray, n: int) -> WalshSeries:
     return _series_of_state_order(vals.copy(), n)
 
 
-def inverse_fwt(series: WalshSeries) -> DiagonalValues:
+def inverse_fwt(series: WalshSeries) -> np.ndarray:
     """Reconstruct the dense dyadic diagonal represented by a series."""
-    n = series.n
-    return DiagonalValues(n, state_values(series)[bit_reverse(np.arange(1 << n), n)])
+    return _reversed_samples(state_values(series), series.n)
 
 
 def state_values(series: WalshSeries) -> np.ndarray:
@@ -257,8 +247,8 @@ def threshold_truncate(series: WalshSeries, theta_min: float) -> tuple[WalshSeri
     |a_j| >= theta_min / 2; returns the surviving series together with the
     number of dropped entries.
     """
-    if not theta_min >= 0:
-        raise ValueError(f"cutoff must be non-negative, got {theta_min}")
+    if not 0 <= theta_min < math.inf:
+        raise ValueError(f"cutoff must be non-negative and finite, got {theta_min}")
     keep = (np.abs(series.coeffs) >= theta_min / 2.0) | ~series.words.any(axis=1)
     kept = WalshSeries._of(series.n, series.words[keep], series.coeffs[keep])
     return kept, len(series) - len(kept)

@@ -30,7 +30,7 @@ def _report(num, name, passed):
 
 def test_criterion_01_walsh_coefficient_table():
     d = u.digitize(1, 2, 0.1, "compact")
-    series = u.fwt(u.DiagonalValues(2, np.cos(u.b_grid(d, 0).values)))
+    series = u.fwt(np.cos(u.b_grid(d, 0)))
     mags = sorted(np.abs(series.coeffs), reverse=True)
     reference = [9.83e-1, 1.10e-2, 1.10e-2, 5.49e-3]
     ok = len(mags) == 4 and all(

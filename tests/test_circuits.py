@@ -141,7 +141,7 @@ def test_sequency_gate_counts_matches_circuit_path(rng):
         built = u.gate_count(u.truncated_circuit(series, theta))
         assert shortcut["rz"] == built["rz"]
         assert shortcut["cx"] == built["cx"]
-    for bad in (-0.1, float("nan")):
+    for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             u.sequency_gate_counts(series, bad)
 

@@ -61,7 +61,7 @@ def test_gatecount_zero_cutoff_matches_exact_counts(tmp_path):
           "--theta-grid", "0", "--dt", "1.0", "--out", str(out)])
     _, header, rows = _read_csv(out)
     d = u.digitize(1, 3, 0.1, "compact")
-    series = u.fwt(u.DiagonalValues(3, np.cos(u.b_grid(d, 0).values)))
+    series = u.fwt(np.cos(u.b_grid(d, 0)))
     counts = u.gate_count(u.exact_circuit(series))
     assert int(rows[0][header.index("rz")]) == counts["rz"]
     assert int(rows[0][header.index("cnot")]) == counts["cx"]
@@ -291,6 +291,16 @@ def test_config_values_checked_like_flags(tmp_path, entry):
 # message fragments that a bad-input case must name
 BAD_INPUT_MESSAGES = {
     ("l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"): "above --qubit-limit 16",
+    ("evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin",
+     "--theta-list", "inf"): "cutoff must be non-negative and finite",
+    ("export", "--lattice", "2x2", "--nq", "1", "--theta-min", "inf"):
+        "cutoff must be non-negative and finite",
+    ("gatecount", "--term", "cosine", "--axis", "theta", "--nq", "2", "--theta-grid", "inf"):
+        "cutoff must be non-negative and finite",
+    ("plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", "1:1:1:lin",
+     "--weave", "{tmp}/float_np_weave.json"): "n_p must be an integer",
+    ("plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", "1:1:1:lin",
+     "--weave", "{tmp}/bool_np_weave.json"): "n_p must be an integer",
 }
 
 
@@ -361,6 +371,16 @@ BAD_INPUT_MESSAGES = {
     ["l1", "--nq", "2", "--np", "1", "--config", "{tmp}/lattice.json"],
     # a zero width died in a ZeroDivisionError traceback
     ["l1", "--nq", "0"],
+    # an infinite cutoff dropped every term (evolve wrote survival 1, export a
+    # step of Fourier blocks alone) or died in a math domain error (gatecount)
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--theta-list", "inf"],
+    ["export", "--lattice", "2x2", "--nq", "1", "--theta-min", "inf"],
+    ["gatecount", "--term", "cosine", "--axis", "theta", "--nq", "2", "--theta-grid", "inf"],
+    # a weave file's n_p of 3.7 or true was read as 3 or 1
+    ["plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", "1:1:1:lin",
+     "--weave", "{tmp}/float_np_weave.json"],
+    ["plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", "1:1:1:lin",
+     "--weave", "{tmp}/bool_np_weave.json"],
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
     (tmp_path / "lattice.json").write_text('{"lattice": "2x2"}')
@@ -370,12 +390,16 @@ def test_bad_input_exits_without_table(tmp_path, argv):
     rows = u.builtin_weave(3).w.tolist()
     rows[0][2] = math.nan
     (tmp_path / "nan_weave.json").write_text(json.dumps({"n_p": 3, "rows": rows}))
+    rows = u.builtin_weave(3).w.tolist()
+    (tmp_path / "float_np_weave.json").write_text(json.dumps({"n_p": 3.7, "rows": rows}))
+    (tmp_path / "bool_np_weave.json").write_text(json.dumps({"n_p": True, "rows": [[1.0]]}))
+    message = BAD_INPUT_MESSAGES.get(tuple(argv), "")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     out = tmp_path / "table.csv"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
     assert exc.value.code not in (0, None)
-    assert BAD_INPUT_MESSAGES.get(tuple(argv), "") in str(exc.value.code)
+    assert message in str(exc.value.code)
     assert not out.exists()
 
 

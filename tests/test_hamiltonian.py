@@ -82,8 +82,8 @@ def test_single_plaquette_compact_is_twice_cosine():
     d = u.digitize(1, 2, g, "compact")
     terms = u.magnetic_terms(d)
     assert len(terms) == 2
-    total = sum(u.diagonal_of_term(t, d).values for t in terms)
-    assert np.abs(total - (-2.0 / g**2) * np.cos(u.b_grid(d, 0).values)).max() < 1e-12
+    total = sum(u.diagonal_of_term(t, d) for t in terms)
+    assert np.abs(total - (-2.0 / g**2) * np.cos(u.b_grid(d, 0))).max() < 1e-12
 
 
 def test_diagonal_of_cosine_term():
@@ -91,20 +91,22 @@ def test_diagonal_of_cosine_term():
     d = u.digitize(1, 2, g, "compact")
     term = u.magnetic_terms(d)[0]
     diag = u.diagonal_of_term(term, d)
-    expected = (-1.0 / g**2) * np.cos(u.b_grid(d, 0).values)
-    assert np.abs(diag.values - expected).max() < 1e-12
+    expected = (-1.0 / g**2) * np.cos(u.b_grid(d, 0))
+    assert diag.shape == (4,)
+    assert np.abs(diag - expected).max() < 1e-12
     # grid point at zero field contributes exactly the prefactor
-    assert diag.values[2] == pytest.approx(-1.0 / g**2)
+    assert diag[2] == pytest.approx(-1.0 / g**2)
 
 
 def test_diagonal_of_bilinear_outer_product():
     d = u.digitize(3, 2, 0.7, "non-compact")
     term = u.BilinearTerm("RR", 0, 2, -4.0)
     diag = u.diagonal_of_term(term, d)
-    r0 = u.r_grid(d, 0).values
-    r2 = u.r_grid(d, 2).values
+    r0 = u.r_grid(d, 0)
+    r2 = u.r_grid(d, 2)
     expected = 0.5 * d.g**2 * (-4.0) * np.multiply.outer(r0, r2)
-    assert np.abs(diag.values - expected.ravel()).max() < 1e-12
+    assert diag.shape == (4, 4)  # axis i over support plaquette i
+    assert np.abs(diag - expected).max() < 1e-12
 
 
 def test_diagonal_term_resource_limit():
@@ -193,7 +195,7 @@ def test_compact_small_field_reduces_to_noncompact():
         arg = np.zeros(1 << model_c.n_qubits)
         for p, c in term.support:
             l_p = (idx >> (p * 2)) & 3
-            arg += c * u.b_grid(compact, p).values[l_p]
+            arg += c * u.b_grid(compact, p)[l_p]
         quad += (term.prefactor / g**2) * (1.0 - arg**2 / 2.0)
     diff = quad - b_nc
     assert np.ptp(diff) < 1e-10  # equal up to the dropped additive constant

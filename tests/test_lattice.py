@@ -102,6 +102,15 @@ def test_load_weave_round_trip(tmp_path):
     assert np.array_equal(weave.m, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
 
 
+def test_load_weave_rejects_non_integer_n_p(tmp_path):
+    path = tmp_path / "weave.json"
+    rows = u.builtin_weave(3).w.tolist()
+    for n_p, rows in ((3.7, rows), (3.0, rows), ("3", rows), (True, [[1.0]]), (None, rows)):
+        path.write_text(json.dumps({"n_p": n_p, "rows": rows}))
+        with pytest.raises(ValueError, match="n_p must be an integer"):
+            u.load_weave(path)
+
+
 def test_load_weave_rejects_non_orthogonal(tmp_path):
     # a NaN or inf entry fails the check too: `dev > tol` alone is False for NaN
     for bad in (1e-6, math.nan, math.inf):
@@ -125,26 +134,26 @@ def test_degenerate_weave_column_rejected():
 
 def test_b_grid():
     d = u.digitize(1, 1, 100.0, "compact")
-    assert np.allclose(u.b_grid(d, 0).values, [-math.pi, 0.0])
+    assert np.allclose(u.b_grid(d, 0), [-math.pi, 0.0])
     d2 = u.digitize(1, 2, 0.1, "compact")
     assert np.allclose(
-        u.b_grid(d2, 0).values,
+        u.b_grid(d2, 0),
         [-0.29809001788581807, -0.14904500894290903, 0.0, 0.14904500894290903],
     )
-    assert u.b_grid(d2, 0).values.max() < d2.b_max[0]
+    assert u.b_grid(d2, 0).max() < d2.b_max[0]
 
 
 def test_r_grid():
     d = u.digitize(1, 1, 100.0, "compact")  # b_max clamps to pi
-    assert np.allclose(u.r_grid(d, 0).values, [-1.0, 0.0])
+    assert np.allclose(u.r_grid(d, 0), [-1.0, 0.0])
     d2 = u.Digitization(2, 1.0, np.array([math.pi / 2]), "compact", "original")
-    assert np.allclose(u.r_grid(d2, 0).values, [-4.0, -2.0, 0.0, 2.0])
+    assert np.allclose(u.r_grid(d2, 0), [-4.0, -2.0, 0.0, 2.0])
 
 
 def test_grid_spacing_conjugacy():
     for n_q in (1, 2, 3):
         d = u.digitize(2, n_q, 0.7, "non-compact")
-        bg, rg = u.b_grid(d, 0).values, u.r_grid(d, 0).values
+        bg, rg = u.b_grid(d, 0), u.r_grid(d, 0)
         db = np.diff(bg)
         dr = np.diff(rg)
         assert np.abs(db - db[0]).max() < 1e-14

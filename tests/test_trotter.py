@@ -25,8 +25,8 @@ def test_theta_policy():
     assert u.ThetaPolicy("dt2", 2.0).resolve(0.1) == pytest.approx(0.02)
     with pytest.raises(ValueError):
         u.ThetaPolicy("weekly", 1.0)
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError):
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-negative and finite"):
             u.ThetaPolicy("abs", bad)
 
 

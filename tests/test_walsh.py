@@ -45,14 +45,14 @@ def test_orthogonality_exhaustive():
 
 
 def test_fwt_constant_vector():
-    series = u.fwt(u.DiagonalValues(3, np.full(8, 0.7)))
+    series = u.fwt(np.full(8, 0.7))
     assert series.items() == [(0, 0.7)]
 
 
 def test_fwt_matches_bruteforce(rng):
     for n in range(1, 7):
         values = rng.normal(size=1 << n)
-        series = u.fwt(u.DiagonalValues(n, values))
+        series = u.fwt(values)
         expected = bf_coefficients(values, n)
         dense = np.zeros(1 << n)
         for m, c in series.items():
@@ -62,7 +62,7 @@ def test_fwt_matches_bruteforce(rng):
 
 def test_fwt_cosine_coefficients():
     # frozen from the brute-force transform of cos on the prescription grid
-    series = u.fwt(u.DiagonalValues(2, _cos_grid_values()))
+    series = u.fwt(_cos_grid_values())
     expected = {0: 0.9834314656912715, 1: -0.011025203864207578,
                 2: -0.005481873419686617, 3: -0.011025203864207578}
     assert set(dict(series.items())) == set(expected)
@@ -75,21 +75,22 @@ def test_fwt_cosine_coefficients():
 
 
 def test_fwt_rejects_bad_length():
-    with pytest.raises(ValueError):
-        u.DiagonalValues(2, np.zeros(3))
+    for bad in (np.zeros(3), np.zeros(0), np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            u.fwt(bad)
 
 
 def test_inverse_fwt_examples():
-    assert np.allclose(u.inverse_fwt(u.WalshSeries(3, {0: 1.3})).values, 1.3)
-    vals = u.inverse_fwt(u.WalshSeries(2, {3: 1.0})).values
+    assert np.allclose(u.inverse_fwt(u.WalshSeries(3, {0: 1.3})), 1.3)
+    vals = u.inverse_fwt(u.WalshSeries(2, {3: 1.0}))
     assert np.array_equal(vals, [1.0, -1.0, -1.0, 1.0])
 
 
 def test_round_trip(rng):
     for n in (1, 4, 8, 12):
         values = rng.normal(size=1 << n)
-        back = u.inverse_fwt(u.fwt(u.DiagonalValues(n, values)))
-        assert np.abs(back.values - values).max() < 1e-12
+        back = u.inverse_fwt(u.fwt(values))
+        assert np.abs(back - values).max() < 1e-12
 
 
 def test_fwt_inverse_fwt_series_round_trip(rng):
@@ -100,10 +101,26 @@ def test_fwt_inverse_fwt_series_round_trip(rng):
         assert again.coefficient(m) == pytest.approx(c, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_fwt_is_the_state_order_transform_of_the_reversed_samples(rng, n):
+    # the bit-reversal gather is the oracle for the reshape-and-flip inside fwt
+    gather = u.bit_reverse(np.arange(1 << n), n)
+    for _ in range(3):
+        values = rng.normal(size=1 << n)
+        before = values.copy()
+        series = u.fwt(values)
+        oracle = u.series_from_state_values(values[gather], n)
+        assert series.n == oracle.n == n
+        assert np.array_equal(series.words, oracle.words)
+        assert np.array_equal(series.coeffs, oracle.coeffs)
+        assert np.array_equal(values, before)  # fwt works on a copy
+        assert np.array_equal(u.inverse_fwt(series), u.state_values(series)[gather])
+
+
 def test_state_values_matches_dyadic_reordering(rng):
     n = 5
     values = rng.normal(size=1 << n)
-    series = u.fwt(u.DiagonalValues(n, values))
+    series = u.fwt(values)
     by_state = u.state_values(series)
     for state in range(1 << n):
         assert by_state[state] == pytest.approx(values[u.bit_reverse(state, n)], abs=1e-12)
@@ -216,7 +233,7 @@ def test_merge_shared_masks_of_overlapping_cosines():
     n_q = 2
     grid = -BMAX_G01_NQ2 + (BMAX_G01_NQ2 / 2.0) * np.arange(4)
     joint = np.cos(np.add.outer(grid, grid)).ravel()
-    local = u.fwt(u.DiagonalValues(2 * n_q, joint))
+    local = u.fwt(joint)
     assert len(local) == 1 << (2 * n_q)  # generic grid: all coefficients survive
     first = u.embed(local, u.embed_positions([0, 1], n_q), 3 * n_q)
     second = u.embed(local, u.embed_positions([1, 2], n_q), 3 * n_q)
@@ -227,7 +244,7 @@ def test_merge_shared_masks_of_overlapping_cosines():
 
 
 def test_threshold_truncate():
-    series = u.fwt(u.DiagonalValues(2, _cos_grid_values()))
+    series = u.fwt(_cos_grid_values())
     same, dropped = u.threshold_truncate(series, 0.0)
     assert same.items() == series.items() and dropped == 0
     # mask 0, the global phase, is never dropped
@@ -239,8 +256,8 @@ def test_threshold_truncate():
     # boundary is inclusive: |a| == theta/2 survives
     kept, dropped = u.threshold_truncate(u.WalshSeries(1, {1: 0.5}), 1.0)
     assert kept.items() == [(1, 0.5)] and dropped == 0
-    for bad in (-0.1, float("nan")):
-        with pytest.raises(ValueError):
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="non-negative and finite"):
             u.threshold_truncate(series, bad)
 
 
@@ -260,7 +277,7 @@ def test_merge_before_truncate_property(rng):
 
 def test_l1_norm():
     assert u.l1_norm(u.WalshSeries(4, {0: -2.5})) == 2.5
-    series = u.fwt(u.DiagonalValues(2, _cos_grid_values()))
+    series = u.fwt(_cos_grid_values())
     total = sum(abs(c) for c in bf_coefficients(_cos_grid_values(), 2))
     assert u.l1_norm(series) == pytest.approx(total, rel=1e-12)
     assert u.l1_norm(series) == pytest.approx(1.0109637468393733, abs=1e-12)
@@ -275,5 +292,5 @@ def test_l1_growth_small_case():
     arg = (
         grid[:, None, None] + grid[None, :, None] + grid[None, None, :]
     )
-    series = u.fwt(u.DiagonalValues(n_p * n_q, np.cos(arg).ravel()))
+    series = u.fwt(np.cos(arg).ravel())
     assert u.l1_norm(series) >= 2.0 ** ((n_p * n_q - 5) / 4.0)
