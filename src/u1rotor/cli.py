@@ -52,6 +52,7 @@ from .lattice import (
 )
 from .simulator import loschmidt
 from .trotter import (
+    SPLITTING,
     ThetaPolicy,
     TrotterPlan,
     hamiltonian_series,
@@ -120,7 +121,7 @@ def _parse_floats(text: str) -> list[float]:
 
 def _pmap(fn, items, workers):
     items = list(items)
-    if workers and workers > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -303,9 +304,9 @@ def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy
     plan = TrotterPlan(order, dt, 1, theta, theta)  # checks dt for every term
     theta_res = theta.resolve(dt)
     use = weave if basis == "weaved" else None
+    if term in ("step", "electric") and (lattice is None or lattice.n_p != n_p):
+        raise SystemExit(f"{term} gate counts need --lattice matching n_p")
     if term == "step":
-        if lattice is None:
-            raise SystemExit("step gate counts need --lattice")
         model = _model(lattice, n_q, g, formulation, basis, weave)
         counts = gate_count(step_circuit(model, plan))
         return counts["rz"], counts["cx"]
@@ -315,8 +316,6 @@ def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy
         d = digitize(n_p, n_q, g, "compact", basis, use)
         series = hamiltonian_series(magnetic_terms(d, use)[-1:], d, -dt)
     elif term == "electric":
-        if lattice is None or lattice.n_p != n_p:
-            raise SystemExit("electric gate counts need --lattice matching n_p")
         series = hamiltonian_series(electric_terms(lattice, use),
                                     digitize(n_p, n_q, g, formulation, basis, use), -dt)
     elif term == "magnetic":
@@ -340,6 +339,8 @@ def _fixed(values, flag, axis, default):
 
 def cmd_gatecount(args) -> int:
     axis, lattice, dt = args.axis, args.lattice, args.dt
+    if args.term == "cosine" and (args.np is not None or axis == "np"):
+        raise SystemExit("cosine gate counts span one plaquette: no --np, no --axis np")
     n_q = _fixed(args.nq, "nq", axis, 2)
     n_p = _fixed(args.np, "np", axis, lattice.n_p if lattice else 3)
     theta = ThetaPolicy(args.theta_min_policy, args.theta_min)
@@ -365,7 +366,10 @@ def cmd_gatecount(args) -> int:
     rows = []
     for v, (rz, cx) in zip(values, counts):
         theta_res = (ThetaPolicy(theta.mode, float(v)) if axis == "theta" else theta).resolve(dt)
-        t_per_rz = 1.15 * math.log2(1.0 / theta_res) if theta_res > 0 else None
+        t_per_rz = None
+        if theta_res > 0:  # 1/theta overflows below about 5.6e-309; -log2(theta) stands in
+            inverse = 1.0 / theta_res
+            t_per_rz = 1.15 * (math.log2(inverse) if inverse < math.inf else -math.log2(theta_res))
         rows.append((v, rz, cx, t_per_rz))
     config = dict(axis=axis, term=args.term, basis=args.basis, formulation=args.formulation,
                   nq=n_q, np=n_p, g=args.g, dt=dt, order=args.order, theta_min=theta.value,
@@ -500,7 +504,7 @@ _FLAGS = dict(
     dt=dict(type=float, help="Trotter step size"),
     dt_list=dict(type=_parse_floats, help="step sizes (comma list)"),
     t=dict(type=float, help="total evolution time"),
-    order=dict(type=int, choices=[1, 2]),
+    order=dict(type=int, choices=sorted(SPLITTING)),
     axis=dict(choices=["np", "nq", "g", "theta"]),
     term=dict(choices=["magnetic", "maximal", "cosine", "electric", "step"]),
     levels=dict(type=_positive_int, help="number of eigenvalues"),
@@ -509,7 +513,7 @@ _FLAGS = dict(
     scan_bmax=dict(action="store_true", help="scan a width scale per coupling"),
     format=dict(choices=["csv", "json"]),
     out=dict(help="output path (default stdout)"),
-    workers=dict(type=int, help="sweep worker threads"),
+    workers=dict(type=_positive_int, help="sweep worker threads"),
 )
 
 

@@ -4,8 +4,10 @@ Basis states are little-endian: bit q of the state index is qubit q.
 `loschmidt` evolves by the Trotter step's fused form: each diagonal factor
 is one elementwise phase exp(i * state_values(kept series)), and the
 electric factor is conjugated by per-plaquette FFTs over the state reshaped
-to one axis per plaquette.  Sequency-ordered synthesis realizes exactly
-these phases, so the result is the step circuit's, up to rounding.
+to one axis per plaquette.  The factors are applied in `trotter.SPLITTING`
+order, as the step circuit applies them.  Sequency-ordered synthesis
+realizes exactly these phases, so the result is the step circuit's, up to
+rounding.
 
 `apply` and `circuit_unitary` run circuits gate by gate, one row of the
 gate table at a time (index arithmetic per gate, no gate matrices, the
@@ -31,7 +33,7 @@ from .hamiltonian import (
     ft_matrix,
 )
 from .lattice import ResourceLimitError, r_grid
-from .trotter import TrotterPlan, truncated_factor_series
+from .trotter import SPLITTING, TrotterPlan, truncated_factor_series
 from .walsh import state_values
 
 
@@ -110,9 +112,10 @@ def loschmidt(model: HamiltonianModel, plan: TrotterPlan) -> float:
     electric factor by F exp(i * e) F^dagger (`fourier_conjugate`, the
     operator dense Hamiltonians are built with), with b and e the state
     values of `truncated_factor_series` and F the per-plaquette Fourier
-    transform F[l, m] = w^{lm} / sqrt(N).
-    Mask-0 coefficients stay in the phases as the circuit's global phase.
-    Applying `step_circuit` gate by gate with `apply` is the reference.
+    transform F[l, m] = w^{lm} / sqrt(N).  Each step applies the factors
+    in `SPLITTING` order.  Mask-0 coefficients stay in the phases as the
+    circuit's global phase.  Applying `step_circuit` gate by gate with
+    `apply` is the reference.
     """
     n = model.n_qubits
     if n > TERM_LIMIT_QUBITS:
@@ -123,16 +126,14 @@ def loschmidt(model: HamiltonianModel, plan: TrotterPlan) -> float:
     psi0 = electric_ground_state(model)
     if plan.steps == 0:
         return 1.0
-    kept_e, kept_b = truncated_factor_series(model, plan)
+    (kept_e, _), (kept_b, _) = truncated_factor_series(model, plan)
     shape = (model.digitization.n_states,) * model.n_p
     phase_e = np.exp(1j * state_values(kept_e)).reshape(shape)
     phase_b = np.exp(1j * state_values(kept_b)).reshape(shape)
+    factors = {"E": lambda psi: fourier_conjugate(phase_e, psi), "B": lambda psi: phase_b * psi}
     psi = psi0.reshape(shape)
-    for _ in range(plan.steps):
-        if plan.order == 1:
-            psi = fourier_conjugate(phase_e, phase_b * psi)
-        else:
-            psi = fourier_conjugate(phase_e, phase_b * fourier_conjugate(phase_e, psi))
+    for name in SPLITTING[plan.order] * plan.steps:
+        psi = factors[name](psi)
     return float(abs(np.vdot(psi0, psi.ravel())) ** 2)
 
 

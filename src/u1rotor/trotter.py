@@ -1,11 +1,11 @@
 """Suzuki-Trotter step assembly and the truncation error budget.
 
-One step evolves by exp(-i H dt), split into an electric and a magnetic
-factor.  Both factors are diagonal after the per-plaquette Fourier rotation,
-so each is synthesized as a Walsh series scaled by -dt (the Rz angles carry
-the -dt factor).  Series of individual terms are merged over the full
-register before any truncation, so coefficients that only clear the cutoff
-in the sum are never lost.
+One step evolves by exp(-i H dt) as the product of electric and magnetic
+factors that `SPLITTING` lists, each scaled by its share of -dt.  Both are
+diagonal after the per-plaquette Fourier rotation, so each is synthesized
+as a Walsh series (the Rz angles carry the -dt share).  Series of individual
+terms are merged over the full register before any truncation, so
+coefficients that only clear the cutoff in the sum are never lost.
 
 Cutoff policies: "abs" uses the value as theta_min directly, "dt" scales it
 by the step size and "dt2" by its square, matching first and second order
@@ -23,6 +23,9 @@ from .circuits import Circuit, exact_circuit, qft_circuit, sequency_gate_counts
 from .hamiltonian import HamiltonianModel, dense_diagonals, dense_electric, diagonal_of_term
 from .lattice import b_grid, digitize, embed_positions
 from .walsh import WalshSeries, embed, fwt, merge, threshold_truncate
+
+# Each order's diagonal factors as applied to the state: "E" electric, "B" magnetic
+SPLITTING = {1: "BE", 2: "EBE"}
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class TrotterPlan:
     theta_b: ThetaPolicy = ThetaPolicy()
 
     def __post_init__(self):
-        if self.order not in (1, 2):
+        if self.order not in SPLITTING:
             raise ValueError("only first and second order splittings are supported")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"step size must be positive and finite, got {self.dt}")
@@ -90,32 +93,27 @@ def hamiltonian_series(terms, d, scale: float) -> WalshSeries:
 def factor_series(model: HamiltonianModel, plan: TrotterPlan):
     """(electric, magnetic) step-factor series before truncation.
 
-    The electric factor carries -dt/2 for the symmetric splitting, -dt
-    otherwise; the magnetic factor always carries -dt.
+    Each factor carries -dt over the number of times `SPLITTING` applies it:
+    -dt/2 for the electric factor of the symmetric splitting, -dt otherwise.
     """
-    scale_e = -plan.dt / 2.0 if plan.order == 2 else -plan.dt
-    series_e = hamiltonian_series(model.electric, model.digitization, scale_e)
-    series_b = hamiltonian_series(model.magnetic, model.digitization, -plan.dt)
-    return series_e, series_b
-
-
-def _truncations(model: HamiltonianModel, plan: TrotterPlan):
-    """((kept_e, dropped_e), (kept_b, dropped_b)) at the plan's resolved cutoffs."""
-    series_e, series_b = factor_series(model, plan)
-    return (threshold_truncate(series_e, plan.theta_e.resolve(plan.dt)),
-            threshold_truncate(series_b, plan.theta_b.resolve(plan.dt)))
+    splitting = SPLITTING[plan.order]
+    return tuple(
+        hamiltonian_series(terms, model.digitization, -plan.dt / splitting.count(name))
+        for name, terms in (("E", model.electric), ("B", model.magnetic))
+    )
 
 
 def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
-    """(electric, magnetic) step-factor series kept at the plan's resolved cutoffs.
+    """((kept_e, dropped_e), (kept_b, dropped_b)) at the plan's resolved cutoffs.
 
     This is the one truncation decision behind `step_circuit`, the
     fused-phase evolution of `simulator.loschmidt` and the drop counts of
     `error_bound` and `n_drop_monotonicity_check`: each factor is exactly
     exp(i * state_values(kept)), its mask-0 coefficient included.
     """
-    (kept_e, _), (kept_b, _) = _truncations(model, plan)
-    return kept_e, kept_b
+    series_e, series_b = factor_series(model, plan)
+    return (threshold_truncate(series_e, plan.theta_e.resolve(plan.dt)),
+            threshold_truncate(series_b, plan.theta_b.resolve(plan.dt)))
 
 
 def _fourier_blocks(model: HamiltonianModel) -> Circuit:
@@ -131,31 +129,20 @@ def _fourier_blocks(model: HamiltonianModel) -> Circuit:
 def step_circuit(model: HamiltonianModel, plan: TrotterPlan) -> Circuit:
     """One Trotter step: diagonal factors synthesized, merged, truncated.
 
-    Order 1 realizes U_E(dt) U_B(dt); order 2 the symmetric
-    U_E(dt/2) U_B(dt) U_E(dt/2).  The electric factor is a Fourier-conjugated
-    diagonal: the register is rotated to the rotor basis, phased, and rotated
-    back.
+    Each factor is synthesized once and the step applies them in
+    `SPLITTING` order.  The electric factor is a Fourier-conjugated
+    diagonal: the register is rotated to the rotor basis, phased, and
+    rotated back.
     """
-    kept_e, kept_b = truncated_factor_series(model, plan)
+    (kept_e, _), (kept_b, _) = truncated_factor_series(model, plan)
     ft = _fourier_blocks(model)
-    ft_inv = ft.dagger()
-
-    def electric_factor() -> Circuit:
-        out = Circuit(model.n_qubits)
-        out.extend(ft_inv)
-        out.extend(exact_circuit(kept_e))
-        out.extend(ft)
-        return out
-
-    magnetic = exact_circuit(kept_b)
+    electric = ft.dagger()
+    electric.extend(exact_circuit(kept_e))
+    electric.extend(ft)
+    factors = {"E": electric, "B": exact_circuit(kept_b)}
     circ = Circuit(model.n_qubits)
-    if plan.order == 1:
-        circ.extend(magnetic)
-        circ.extend(electric_factor())
-    else:
-        circ.extend(electric_factor())
-        circ.extend(magnetic)
-        circ.extend(electric_factor())
+    for name in SPLITTING[plan.order]:
+        circ.extend(factors[name])
     return circ
 
 
@@ -174,15 +161,17 @@ class ErrorBudget:
 def error_bound(model: HamiltonianModel, plan: TrotterPlan) -> ErrorBudget:
     """Evaluate the first-order error bound for a plan.
 
-    alpha is the spectral norm of the dense commutator [H_E, H_B].  The
+    alpha is the spectral norm of the dense commutator [H_E, H_B], the
+    largest eigenvalue magnitude of the Hermitian i[H_E, H_B].  The
     truncation constants are the coherent worst case: the per-step drop
     counts of `threshold_truncate`, spread over t/dt steps.
     """
     h_e = dense_electric(model)
-    _, b_diag = dense_diagonals(model)
-    comm = h_e * b_diag[None, :] - b_diag[:, None] * h_e
-    alpha = float(np.linalg.norm(comm, ord=2))
-    (_, dropped_e), (_, dropped_b) = _truncations(model, plan)
+    ib = 1j * dense_diagonals(model)[1]
+    comm = h_e * ib  # i H_E H_B, then minus i H_B H_E in place
+    comm -= ib[:, None] * h_e
+    alpha = float(np.abs(np.linalg.eigvalsh(comm)).max())
+    (_, dropped_e), (_, dropped_b) = truncated_factor_series(model, plan)
     theta_e = plan.theta_e.resolve(plan.dt)
     theta_b = plan.theta_b.resolve(plan.dt)
     c_e = dropped_e / plan.dt
@@ -204,7 +193,7 @@ def n_drop_monotonicity_check(
 ) -> NDropReport:
     """Total drop count per step size, checked to be non-decreasing in dt."""
     dts = tuple(sorted(float(x) for x in dts))
-    drops = [sum(dropped for _, dropped in _truncations(model, replace(plan, dt=dt)))
+    drops = [sum(dropped for _, dropped in truncated_factor_series(model, replace(plan, dt=dt)))
              for dt in dts]
     monotone = all(a <= b for a, b in zip(drops, drops[1:]))
     return NDropReport(dts, tuple(drops), monotone)

@@ -301,6 +301,13 @@ BAD_INPUT_MESSAGES = {
      "--weave", "{tmp}/float_np_weave.json"): "n_p must be an integer",
     ("plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", "1:1:1:lin",
      "--weave", "{tmp}/bool_np_weave.json"): "n_p must be an integer",
+    ("gatecount", "--term", "step", "--lattice", "2x2", "--nq", "1", "--np", "7"):
+        "step gate counts need --lattice matching n_p",
+    ("gatecount", "--term", "step", "--lattice", "2x2", "--axis", "np", "--np", "2:4"):
+        "step gate counts need --lattice matching n_p",
+    ("gatecount", "--term", "cosine", "--axis", "np", "--np", "2:4"): "span one plaquette",
+    ("gatecount", "--term", "cosine", "--nq", "2", "--np", "3", "--theta-grid", "0"):
+        "span one plaquette",
 }
 
 
@@ -381,6 +388,15 @@ BAD_INPUT_MESSAGES = {
      "--weave", "{tmp}/float_np_weave.json"],
     ["plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", "1:1:1:lin",
      "--weave", "{tmp}/bool_np_weave.json"],
+    # gatecount built the 3-plaquette step or the one-plaquette cosine whatever
+    # n_p was, and wrote the ignored n_p in the header or as identical rows
+    ["gatecount", "--term", "step", "--lattice", "2x2", "--nq", "1", "--np", "7"],
+    ["gatecount", "--term", "step", "--lattice", "2x2", "--axis", "np", "--np", "2:4"],
+    ["gatecount", "--term", "cosine", "--axis", "np", "--np", "2:4"],
+    ["gatecount", "--term", "cosine", "--nq", "2", "--np", "3", "--theta-grid", "0"],
+    # zero and negative worker counts ran the sweep serially
+    ["l1", "--nq", "2", "--workers", "0"],
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--workers", "-3"],
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
     (tmp_path / "lattice.json").write_text('{"lattice": "2x2"}')
@@ -485,3 +501,17 @@ def test_readme_lists_each_subcommands_flags():
         if current is not None:
             current.update(re.findall(r"`(--[a-z0-9-]+)", line))
     assert documented == _subcommand_flags()
+
+
+def test_subnormal_cutoff_gives_a_finite_t_estimate(tmp_path):
+    # 1 / 1e-320 overflows: the row used to carry Infinity, which is not JSON
+    out = tmp_path / "t.json"
+    main(["gatecount", "--term", "cosine", "--axis", "theta", "--nq", "2",
+          "--theta-grid", "1e-320,0.25", "--format", "json", "--out", str(out)])
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+    assert rows[0][3] == 1.15 * -math.log2(1e-320)
+    assert rows[1][3] == 1.15 * math.log2(1.0 / 0.25)

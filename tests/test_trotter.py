@@ -176,7 +176,7 @@ def test_truncated_factors_keep_the_global_phase(kappa):
     policy = u.ThetaPolicy("abs", kappa)
     plan = u.TrotterPlan(2, 0.3, 1, policy, policy)
     full = factor_series(model, plan)
-    kept = u.truncated_factor_series(model, plan)
+    kept = [trunc for trunc, _ in u.truncated_factor_series(model, plan)]
     for series, trunc in zip(full, kept):
         assert trunc.coefficient(0) == series.coefficient(0) != 0.0
         assert {m for m, _ in trunc.items() if m} == {
@@ -193,3 +193,31 @@ def test_truncated_factors_keep_the_global_phase(kappa):
     step = u.step_circuit(model, plan)
     assert step.gates == expected.gates
     assert step.global_phase == expected.global_phase
+
+
+@pytest.mark.parametrize("order, counts", [(1, (1, 1)), (2, (2, 1))])
+def test_factor_series_scales_by_the_splitting(order, counts):
+    # each factor carries -dt over its number of uses in the splitting, bit for bit
+    model = _model()
+    plan = u.TrotterPlan(order, 0.3, 1)
+    for series, terms, k in zip(factor_series(model, plan), (model.electric, model.magnetic),
+                                counts):
+        expected = u.hamiltonian_series(terms, model.digitization, -0.3 / k)
+        assert np.array_equal(series.words, expected.words)
+        assert np.array_equal(series.coeffs, expected.coeffs)
+
+
+def test_step_circuit_synthesizes_each_factor_once(monkeypatch):
+    # the symmetric step applies the electric factor twice but builds it once
+    import u1rotor.trotter as trotter
+
+    calls = []
+    synthesize = trotter.exact_circuit
+
+    def spy(series):
+        calls.append(series)
+        return synthesize(series)
+
+    monkeypatch.setattr(trotter, "exact_circuit", spy)
+    u.step_circuit(_model(), u.TrotterPlan(2, 0.3, 1))
+    assert len(calls) == 2
