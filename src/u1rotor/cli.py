@@ -304,8 +304,6 @@ def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy
     plan = TrotterPlan(order, dt, 1, theta, theta)  # checks dt for every term
     theta_res = theta.resolve(dt)
     use = weave if basis == "weaved" else None
-    if term in ("step", "electric") and (lattice is None or lattice.n_p != n_p):
-        raise SystemExit(f"{term} gate counts need --lattice matching n_p")
     if term == "step":
         model = _model(lattice, n_q, g, formulation, basis, weave)
         counts = gate_count(step_circuit(model, plan))
@@ -339,10 +337,15 @@ def _fixed(values, flag, axis, default):
 
 def cmd_gatecount(args) -> int:
     axis, lattice, dt = args.axis, args.lattice, args.dt
-    if args.term == "cosine" and (args.np is not None or axis == "np"):
-        raise SystemExit("cosine gate counts span one plaquette: no --np, no --axis np")
+    if args.term == "cosine" and (lattice or args.np is not None or axis == "np"):
+        raise SystemExit("cosine gate counts span one plaquette: no --lattice, --np or --axis np")
+    if args.order != 1 and args.term != "step":
+        raise SystemExit(f"--order {args.order} applies to --term step only")
     n_q = _fixed(args.nq, "nq", axis, 2)
     n_p = _fixed(args.np, "np", axis, lattice.n_p if lattice else 3)
+    fixed = lattice.n_p if lattice else None  # a lattice fixes n_p for every term
+    if (axis == "np" or n_p != fixed) and (lattice or args.term in ("step", "electric")):
+        raise SystemExit(f"{args.term} gate counts need --lattice matching n_p, and no --axis np")
     theta = ThetaPolicy(args.theta_min_policy, args.theta_min)
     values = {"np": args.np or list(range(2, 7)), "nq": args.nq or list(range(1, 9)),
               "g": list(map(float, args.g_grid)), "theta": args.theta_grid}[axis]

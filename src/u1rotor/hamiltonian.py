@@ -12,11 +12,12 @@ Each term's diagonal is a plain grid tensor (`diagonal_of_term`) of shape
 only `walsh.fwt` reads its raveled form as dyadic samples.  Dense matrices
 live in the magnetic basis, H = F diag(e) F^dagger + diag(b).  The diagonals
 ``e`` (rotor basis) and ``b`` (field basis) place the term tensors on the
-``(N,)*n_p`` register tensor and sum them, and `fourier_conjugate` applies
-the per-plaquette discrete Fourier transform ``F[l, m] = w^{lm} / sqrt(N)``,
-pairing magnetic grid index ``l`` with rotor grid index ``m``;
-`circuits.qft_circuit` realizes the same matrix, which is what makes circuit
-evolution and dense evolution comparable.
+``(N,)*n_p`` register tensor and sum them; ``F[l, m] = w^{lm} / sqrt(N)`` is
+the per-plaquette DFT, pairing magnetic grid index ``l`` with rotor grid
+index ``m``.  `fourier_conjugate` applies F diag(e) F^dagger to states by
+FFTs; `dense_electric` builds it as a multilevel circulant from one inverse
+FFT and checks Hermiticity there.  `circuits.qft_circuit` realizes the same
+F, which is what makes circuit evolution and dense evolution comparable.
 
 The qubit caps are constants of this module, checked only where memory is
 allocated: `DENSE_LIMIT_QUBITS` in `dense_electric` (so every dense matrix,
@@ -47,7 +48,6 @@ DENSE_LIMIT_QUBITS = 14  # full matrices / diagonalization
 TERM_LIMIT_QUBITS = 22  # per-term and full-register diagonals
 
 _COUPLING_TOL = 1e-12
-_COLUMN_BLOCK = 256  # basis columns per FFT batch in `dense_electric`
 
 
 @dataclass(frozen=True)
@@ -257,28 +257,28 @@ def fourier_conjugate(diagonal: np.ndarray, states: np.ndarray) -> np.ndarray:
 def dense_electric(model: HamiltonianModel) -> np.ndarray:
     """Electric Hamiltonian F diag(e) F^dagger in the magnetic basis, as a dense matrix.
 
-    Columns are transformed `_COLUMN_BLOCK` at a time into the preallocated
-    matrix, which bounds the transform's scratch memory.
+    A multilevel circulant: entry ``[l, l']`` is ``k = ifftn(e)`` at ``(l - l') mod N``
+    per plaquette, gathered with nothing of size dim^2 but the result allocated.
+    The check ``max |k[d] - conj(k[-d])|`` is ``max |h - h^dagger|``, real diagonal or not.
     """
     _check_cap("register", model.n_qubits, "dense", DENSE_LIMIT_QUBITS)
     e = _register_sum(model.electric, model.digitization)
-    dim = e.size
-    h_e = np.empty((dim, dim), dtype=complex)
-    for start in range(0, dim, _COLUMN_BLOCK):
-        count = min(_COLUMN_BLOCK, dim - start)
-        basis = np.eye(count, dim, start, dtype=complex).reshape((count,) + e.shape)
-        h_e[:, start:start + count] = fourier_conjugate(e, basis).reshape(count, dim).T
-    return h_e
+    kernel, n = np.fft.ifftn(e), e.ndim
+    grid = np.arange(model.digitization.n_states)
+    offsets = (grid[:, None] - grid[None, :]) % grid.size  # row 0 is -d mod N
+    dev = np.abs(kernel - kernel[np.ix_(*[offsets[0]] * n)].conj()).max()
+    if dev > 1e-10:
+        raise AssertionError(f"dense Hamiltonian not Hermitian: {dev:.3e}")
+    # register axis k runs along row axis k and column axis n + k
+    index = tuple(np.expand_dims(offsets, [a for a in range(2 * n) if a % n != k])
+                  for k in range(n))
+    return kernel[index].reshape(e.size, e.size)
 
 
 def dense_matrix(model: HamiltonianModel) -> np.ndarray:
-    """Full Hamiltonian in the magnetic basis; Hermitian to 1e-10 by construction."""
+    """Full Hamiltonian in the magnetic basis; `dense_electric` checks it is Hermitian."""
     h = dense_electric(model)
-    _, b_diag = dense_diagonals(model)
-    h[np.diag_indices_from(h)] += b_diag
-    dev = np.abs(h - h.conj().T).max()
-    if dev > 1e-10:
-        raise AssertionError(f"dense Hamiltonian not Hermitian: {dev:.3e}")
+    h[np.diag_indices_from(h)] += dense_diagonals(model)[1]
     return h
 
 
@@ -328,10 +328,18 @@ def noncompact_spectrum_oracle(lattice: LatticeSpec, count: int) -> np.ndarray:
 
 
 def ground_state(model: HamiltonianModel):
-    """Lowest eigenpair of the dense Hamiltonian."""
+    """Lowest eigenpair: the `eigvalsh` energy E, the vector by two inverse-iteration solves."""
     h = dense_matrix(model)
-    vals, vecs = np.linalg.eigh(h)
-    return float(vals[0]), vecs[:, 0]
+    vals = np.linalg.eigvalsh(h)
+    h[np.diag_indices_from(h)] -= vals[0]
+    psi = np.random.default_rng(0).standard_normal(len(h))
+    for _ in range(2):
+        psi = np.linalg.solve(h, psi)
+        psi /= np.linalg.norm(psi)
+    # a backward-stable solve's rounding scales with the spectral radius, not with |E|
+    if (residual := np.linalg.norm(h @ psi)) > 1e-10 * max(1.0, -vals[0], vals[-1]):
+        raise AssertionError(f"ground state residual {residual:.3e} at energy {vals[0]!r}")
+    return float(vals[0]), psi
 
 
 def plaquette_expectation(model: HamiltonianModel) -> float:

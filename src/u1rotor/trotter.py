@@ -166,10 +166,9 @@ def error_bound(model: HamiltonianModel, plan: TrotterPlan) -> ErrorBudget:
     truncation constants are the coherent worst case: the per-step drop
     counts of `threshold_truncate`, spread over t/dt steps.
     """
-    h_e = dense_electric(model)
     ib = 1j * dense_diagonals(model)[1]
-    comm = h_e * ib  # i H_E H_B, then minus i H_B H_E in place
-    comm -= ib[:, None] * h_e
+    comm = dense_electric(model)  # i [H_E, H_B] in place: entry [l, l'] times i (b[l'] - b[l])
+    comm *= ib[None, :] - ib[:, None]
     alpha = float(np.abs(np.linalg.eigvalsh(comm)).max())
     (_, dropped_e), (_, dropped_b) = truncated_factor_series(model, plan)
     theta_e = plan.theta_e.resolve(plan.dt)

@@ -308,6 +308,13 @@ BAD_INPUT_MESSAGES = {
     ("gatecount", "--term", "cosine", "--axis", "np", "--np", "2:4"): "span one plaquette",
     ("gatecount", "--term", "cosine", "--nq", "2", "--np", "3", "--theta-grid", "0"):
         "span one plaquette",
+    ("gatecount", "--term", "magnetic", "--lattice", "2x2", "--np", "5", "--nq", "1",
+     "--theta-grid", "0"): "magnetic gate counts need --lattice matching n_p",
+    ("gatecount", "--term", "maximal", "--lattice", "2x2", "--axis", "np", "--np", "2:4"):
+        "maximal gate counts need --lattice matching n_p",
+    ("gatecount", "--term", "cosine", "--lattice", "4x4"): "span one plaquette",
+    ("gatecount", "--term", "electric", "--lattice", "2x2", "--nq", "2", "--order", "2",
+     "--theta-grid", "0,0.1"): "--order 2 applies to --term step only",
 }
 
 
@@ -394,6 +401,15 @@ BAD_INPUT_MESSAGES = {
     ["gatecount", "--term", "step", "--lattice", "2x2", "--axis", "np", "--np", "2:4"],
     ["gatecount", "--term", "cosine", "--axis", "np", "--np", "2:4"],
     ["gatecount", "--term", "cosine", "--nq", "2", "--np", "3", "--theta-grid", "0"],
+    # the magnetic, maximal and cosine terms ignored --lattice but wrote it in the
+    # header over a count of --np plaquettes (cosine: one)
+    ["gatecount", "--term", "magnetic", "--lattice", "2x2", "--np", "5", "--nq", "1",
+     "--theta-grid", "0"],
+    ["gatecount", "--term", "maximal", "--lattice", "2x2", "--axis", "np", "--np", "2:4"],
+    ["gatecount", "--term", "cosine", "--lattice", "4x4"],
+    # --order was recorded but only --term step reads it
+    ["gatecount", "--term", "electric", "--lattice", "2x2", "--nq", "2", "--order", "2",
+     "--theta-grid", "0,0.1"],
     # zero and negative worker counts ran the sweep serially
     ["l1", "--nq", "2", "--workers", "0"],
     ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--workers", "-3"],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import u1rotor as u
 from u1rotor.trotter import term_series
@@ -162,6 +163,57 @@ def test_dense_matrix_matches_fourier_route():
         assert np.abs(h - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
+@st.composite
+def _dense_case(draw):
+    # every lattice, width and weave kind up to 10 qubits, where the column route is cheap
+    shape = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    lat = u.LatticeSpec(*shape)
+    n_q = draw(st.integers(1, 3).filter(lambda n: n * lat.n_p <= 10))
+    formulation = draw(st.sampled_from(["compact", "non-compact"]))
+    weaves = ["none", "random"] + (["builtin"] if lat.n_p == 3 else [])
+    kind = draw(st.sampled_from(weaves))
+    weave = None
+    if kind == "builtin":
+        weave = u.builtin_weave(3)
+    elif kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(lat.n_p, lat.n_p)))
+        weave = u.weave_from_matrix(q)
+    g = draw(st.floats(0.1, 3.0))
+    basis = "original" if weave is None else "weaved"
+    return _model(n_q=n_q, g=g, formulation=formulation, basis=basis, weave=weave, lat=lat)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_dense_case())
+def test_dense_electric_matches_column_route(model):
+    # the multilevel circulant against F diag(e) F^dagger applied to every basis column
+    e_diag, _ = u.dense_diagonals(model)
+    shape = (model.digitization.n_states,) * model.n_p
+    dim = e_diag.size
+    columns = np.eye(dim, dtype=complex).reshape((dim,) + shape)
+    reference = u.fourier_conjugate(e_diag.reshape(shape), columns).reshape(dim, dim).T
+    h_e = u.dense_electric(model)
+    assert np.abs(h_e - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_hermiticity_checked_on_the_kernel(monkeypatch):
+    from u1rotor import hamiltonian
+
+    register_sum = hamiltonian._register_sum
+
+    def skewed(terms, d):
+        total = register_sum(terms, d)
+        return total + 1j * np.arange(total.size).reshape(total.shape) / total.size
+
+    monkeypatch.setattr(hamiltonian, "_register_sum", skewed)
+    model = _model(n_q=2)
+    plan = u.TrotterPlan(1, 0.1, 1)
+    for entry in (u.dense_electric, u.dense_matrix, lambda m: u.error_bound(m, plan)):
+        with pytest.raises(AssertionError, match="not Hermitian"):
+            entry(model)
+
+
 def test_dense_diagonals_match_term_sums():
     from u1rotor.trotter import hamiltonian_series
     from u1rotor.walsh import state_values
@@ -303,6 +355,34 @@ def test_ground_state_normalized():
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     h = u.dense_matrix(_model(n_q=2, g=0.5))
     assert np.abs(h @ psi - energy * psi).max() < 1e-10
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 3])
+@pytest.mark.parametrize("basis", ["original", "weaved"])
+def test_ground_state_matches_eigh(basis, n_q):
+    # plaquette's model family: 2x2 compact, both bases, couplings 0.01 to 10; at
+    # g = 100 the ground energy is -3e-10 in a spectrum reaching 1.3e6, which a
+    # residual check scaled by |E| instead of the spectrum would reject
+    weave = u.builtin_weave(3) if basis == "weaved" else None
+    for g in [*np.geomspace(0.01, 10.0, 5), 100.0]:
+        model = _model(n_q=n_q, g=float(g), basis=basis, weave=weave)
+        energy, psi = u.ground_state(model)
+        vals, vecs = np.linalg.eigh(u.dense_matrix(model))
+        # relative to the spectral radius: at g = 10 the ground energy is about -1e-6
+        # in a spectrum reaching 1.3e4, where eigvalsh and eigh differ by 4e-12
+        assert abs(energy - vals[0]) <= 1e-12 * np.abs(vals).max()
+        assert abs(np.vdot(psi, vecs[:, 0])) >= 1 - 1e-12
+        _, b_diag = u.dense_diagonals(model)
+        h_b = float(np.real(np.vdot(vecs[:, 0], b_diag * vecs[:, 0])))
+        expected = 1.0 + g**2 / (model.n_p + 1) * h_b
+        assert u.plaquette_expectation(model) == pytest.approx(expected, abs=1e-12)
+
+
+def test_ground_state_residual_check(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigvalsh(h) + 1e-3)
+    with pytest.raises(AssertionError, match="residual"):
+        u.ground_state(_model(n_q=2))
 
 
 def test_plaquette_expectation_limits():
