@@ -9,21 +9,29 @@ All additive constants are dropped.
 
 Each term's diagonal is a plain grid tensor (`diagonal_of_term`) of shape
 ``(N,)*len(support)``, axis i over the grid index of support plaquette i;
-only `walsh.fwt` reads its raveled form as dyadic samples.  Dense matrices
-live in the magnetic basis, H = F diag(e) F^dagger + diag(b).  The diagonals
+only `walsh.fwt` reads its raveled form as dyadic samples.  The Hamiltonian
+lives in the magnetic basis, H = F diag(e) F^dagger + diag(b).  The diagonals
 ``e`` (rotor basis) and ``b`` (field basis) place the term tensors on the
 ``(N,)*n_p`` register tensor and sum them; ``F[l, m] = w^{lm} / sqrt(N)`` is
 the per-plaquette DFT, pairing magnetic grid index ``l`` with rotor grid
 index ``m``.  `fourier_conjugate` applies F diag(e) F^dagger to states by
 FFTs; `dense_electric` builds it as a multilevel circulant from one inverse
-FFT and checks Hermiticity there.  `circuits.qft_circuit` realizes the same
-F, which is what makes circuit evolution and dense evolution comparable.
+FFT.  Both routes start from `operator_diagonals`, which checks Hermiticity
+on that inverse FFT, the circulant's kernel.  `circuits.qft_circuit`
+realizes the same F, which is what makes circuit evolution and dense
+evolution comparable.
+
+Extreme eigenpairs need no dense matrix: `extreme_eigenpairs` is a Lanczos
+iteration on any matrix-free Hermitian product.  `ground_state` (so
+`plaquette_expectation`) runs it on H psi = `fourier_conjugate(e, psi) + b psi`
+from `operator_diagonals`, and `trotter.error_bound` on i[H_E, H_B].  Dense
+matrices remain for full spectra, exact evolution and test oracles.
 
 The qubit caps are constants of this module, checked only where memory is
-allocated: `DENSE_LIMIT_QUBITS` in `dense_electric` (so every dense matrix,
-spectrum, evolution and error budget), `TERM_LIMIT_QUBITS` in
-`diagonal_of_term` and `dense_diagonals` (so every Walsh series).  Above a cap
-they raise `ResourceLimitError` before allocating.
+allocated: `DENSE_LIMIT_QUBITS` in `operator_diagonals` (so every dense
+matrix, spectrum, ground state, evolution and error budget),
+`TERM_LIMIT_QUBITS` in `diagonal_of_term` and `dense_diagonals` (so every
+Walsh series).  Above a cap they raise `ResourceLimitError` before allocating.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .lattice import (
 
 DENSE_LIMIT_QUBITS = 14  # full matrices / diagonalization
 TERM_LIMIT_QUBITS = 22  # per-term and full-register diagonals
+LANCZOS_TOL = 1e-13  # Ritz residual bound over the largest Ritz magnitude
 
 _COUPLING_TOL = 1e-12
 
@@ -254,31 +263,50 @@ def fourier_conjugate(diagonal: np.ndarray, states: np.ndarray) -> np.ndarray:
     )
 
 
-def dense_electric(model: HamiltonianModel) -> np.ndarray:
-    """Electric Hamiltonian F diag(e) F^dagger in the magnetic basis, as a dense matrix.
+def operator_diagonals(model: HamiltonianModel):
+    """Register tensors ``e`` and ``b`` of H = F diag(e) F^dagger + diag(b), under the dense cap.
+
+    Every route to H starts here: the dense matrices and the matrix-free product
+    H psi = `fourier_conjugate(e, psi) + b psi`.  Hermiticity is checked on ``k = ifftn(e)``,
+    the kernel of F diag(e) F^dagger: ``max |k[d] - conj(k[-d])|`` is ``max |h - h^dagger|``,
+    real diagonal or not.
+    """
+    _check_cap("register", model.n_qubits, "dense", DENSE_LIMIT_QUBITS)
+    d = model.digitization
+    e = _register_sum(model.electric, d)
+    kernel = np.fft.ifftn(e)
+    negated = -np.arange(d.n_states) % d.n_states
+    dev = np.abs(kernel - kernel[np.ix_(*[negated] * e.ndim)].conj()).max()
+    if dev > 1e-10:
+        raise AssertionError(f"dense Hamiltonian not Hermitian: {dev:.3e}")
+    return e, _register_sum(model.magnetic, d)
+
+
+def _circulant(e: np.ndarray) -> np.ndarray:
+    """F diag(e) F^dagger as a dense matrix.
 
     A multilevel circulant: entry ``[l, l']`` is ``k = ifftn(e)`` at ``(l - l') mod N``
     per plaquette, gathered with nothing of size dim^2 but the result allocated.
-    The check ``max |k[d] - conj(k[-d])|`` is ``max |h - h^dagger|``, real diagonal or not.
     """
-    _check_cap("register", model.n_qubits, "dense", DENSE_LIMIT_QUBITS)
-    e = _register_sum(model.electric, model.digitization)
     kernel, n = np.fft.ifftn(e), e.ndim
-    grid = np.arange(model.digitization.n_states)
-    offsets = (grid[:, None] - grid[None, :]) % grid.size  # row 0 is -d mod N
-    dev = np.abs(kernel - kernel[np.ix_(*[offsets[0]] * n)].conj()).max()
-    if dev > 1e-10:
-        raise AssertionError(f"dense Hamiltonian not Hermitian: {dev:.3e}")
+    grid = np.arange(e.shape[0])
+    offsets = (grid[:, None] - grid[None, :]) % grid.size
     # register axis k runs along row axis k and column axis n + k
     index = tuple(np.expand_dims(offsets, [a for a in range(2 * n) if a % n != k])
                   for k in range(n))
     return kernel[index].reshape(e.size, e.size)
 
 
+def dense_electric(model: HamiltonianModel) -> np.ndarray:
+    """Electric Hamiltonian F diag(e) F^dagger in the magnetic basis, as a dense matrix."""
+    return _circulant(operator_diagonals(model)[0])
+
+
 def dense_matrix(model: HamiltonianModel) -> np.ndarray:
-    """Full Hamiltonian in the magnetic basis; `dense_electric` checks it is Hermitian."""
-    h = dense_electric(model)
-    h[np.diag_indices_from(h)] += dense_diagonals(model)[1]
+    """Full Hamiltonian in the magnetic basis, as a dense matrix."""
+    e, b = operator_diagonals(model)
+    h = _circulant(e)
+    h[np.diag_indices_from(h)] += b.ravel()
     return h
 
 
@@ -327,27 +355,78 @@ def noncompact_spectrum_oracle(lattice: LatticeSpec, count: int) -> np.ndarray:
     return np.array(energies)
 
 
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def extreme_eigenpairs(apply, dim: int):
+    """Lowest and highest eigenpairs ``(value, vector)`` of a Hermitian operator on C^dim.
+
+    Lanczos with full reorthogonalization (Gram-Schmidt twice per step) from a
+    ``default_rng(0)`` start vector.  A breakdown (an invariant subspace before
+    ``dim`` steps) starts a new block from the next random vector, orthogonalized
+    against the basis; the tridiagonal matrix then splits into blocks.  The current
+    block stops when the Ritz residual bound ``beta |s_last|`` of both its extreme
+    pairs is within `LANCZOS_TOL` of the largest Ritz magnitude seen, which is
+    never above the spectral radius.  Unconverged at ``dim`` steps, or on a
+    non-finite residual, it raises `numpy.linalg.LinAlgError`.
+    """
+    def orthogonalize(w, k):  # against basis[:k + 1]
+        for _ in range(2):
+            w = w - basis[: k + 1].T @ (basis[: k + 1].conj() @ w)
+        return w
+
+    rng = np.random.default_rng(0)
+    basis = np.zeros((min(dim, 64), dim), dtype=complex)
+    diag, off = np.zeros(dim), np.zeros(dim)
+    v, start, scale = rng.standard_normal(dim), 0, 0.0
+    for k in range(dim):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.zeros_like(basis)])[:dim]
+        basis[k] = v / np.linalg.norm(v)
+        w = apply(basis[k])
+        diag[k] = np.vdot(basis[k], w).real
+        w = orthogonalize(w, k)
+        off[k] = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(_tridiagonal(diag[start : k + 1], off[start:k]))
+        scale = max(scale, -theta[0], theta[-1])
+        if k + 1 < dim and off[k] <= LANCZOS_TOL * scale:
+            w = orthogonalize(rng.standard_normal(dim), k)
+            off[k], start = 0.0, k + 1
+        elif off[k] * np.abs(s[-1, [0, -1]]).max() <= LANCZOS_TOL * scale:
+            break
+        elif k + 1 == dim or not np.isfinite(off[k]):
+            raise np.linalg.LinAlgError(f"Lanczos unconverged after {k + 1} steps")
+        v = w
+    theta, s = np.linalg.eigh(_tridiagonal(diag[: k + 1], off[:k]))
+    vectors = basis[: k + 1].T @ s[:, [0, -1]]
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return (float(theta[0]), vectors[:, 0]), (float(theta[-1]), vectors[:, 1])
+
+
+def _ground_state(e: np.ndarray, b: np.ndarray):
+    def apply(psi):
+        psi = psi.reshape(e.shape)
+        return (fourier_conjugate(e, psi) + b * psi).ravel()
+
+    (energy, psi), (top, _) = extreme_eigenpairs(apply, e.size)
+    # the bound scales with the Ritz extremes, which lie inside the spectrum
+    if (residual := np.linalg.norm(apply(psi) - energy * psi)) > 1e-10 * max(1.0, -energy, top):
+        raise AssertionError(f"ground state residual {residual:.3e} at energy {energy!r}")
+    return energy, psi
+
+
 def ground_state(model: HamiltonianModel):
-    """Lowest eigenpair: the `eigvalsh` energy E, the vector by two inverse-iteration solves."""
-    h = dense_matrix(model)
-    vals = np.linalg.eigvalsh(h)
-    h[np.diag_indices_from(h)] -= vals[0]
-    psi = np.random.default_rng(0).standard_normal(len(h))
-    for _ in range(2):
-        psi = np.linalg.solve(h, psi)
-        psi /= np.linalg.norm(psi)
-    # a backward-stable solve's rounding scales with the spectral radius, not with |E|
-    if (residual := np.linalg.norm(h @ psi)) > 1e-10 * max(1.0, -vals[0], vals[-1]):
-        raise AssertionError(f"ground state residual {residual:.3e} at energy {vals[0]!r}")
-    return float(vals[0]), psi
+    """Lowest eigenpair (E, psi) of H, by `extreme_eigenpairs` on the matrix-free H."""
+    return _ground_state(*operator_diagonals(model))
 
 
 def plaquette_expectation(model: HamiltonianModel) -> float:
     """Ground-state plaquette 1 + g^2/(n_p + 1) <H_B>; compact formulation only."""
     if model.digitization.formulation != "compact":
         raise ValueError("plaquette expectation is defined in the compact formulation")
-    _, psi = ground_state(model)
-    _, b_diag = dense_diagonals(model)
-    h_b = float(np.real(np.vdot(psi, b_diag * psi)))
+    e, b = operator_diagonals(model)
+    _, psi = _ground_state(e, b)
+    h_b = float(np.real(np.vdot(psi, b.ravel() * psi)))
     g = model.digitization.g
     return 1.0 + g**2 / (model.n_p + 1) * h_b

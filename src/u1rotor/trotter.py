@@ -20,7 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import Circuit, exact_circuit, qft_circuit, sequency_gate_counts
-from .hamiltonian import HamiltonianModel, dense_diagonals, dense_electric, diagonal_of_term
+from .hamiltonian import (
+    HamiltonianModel,
+    diagonal_of_term,
+    extreme_eigenpairs,
+    fourier_conjugate,
+    operator_diagonals,
+)
 from .lattice import b_grid, digitize, embed_positions
 from .walsh import WalshSeries, embed, fwt, merge, threshold_truncate
 
@@ -161,15 +167,20 @@ class ErrorBudget:
 def error_bound(model: HamiltonianModel, plan: TrotterPlan) -> ErrorBudget:
     """Evaluate the first-order error bound for a plan.
 
-    alpha is the spectral norm of the dense commutator [H_E, H_B], the
-    largest eigenvalue magnitude of the Hermitian i[H_E, H_B].  The
-    truncation constants are the coherent worst case: the per-step drop
-    counts of `threshold_truncate`, spread over t/dt steps.
+    alpha is the spectral norm of the commutator [H_E, H_B]: the larger end, in
+    magnitude, of the spectrum of the Hermitian i[H_E, H_B], whose ends differ
+    in size.  `extreme_eigenpairs` finds both ends on the matrix-free product
+    i(H_E (b psi) - b H_E psi).  The truncation constants are the coherent worst
+    case: the per-step drop counts of `threshold_truncate`, spread over t/dt steps.
     """
-    ib = 1j * dense_diagonals(model)[1]
-    comm = dense_electric(model)  # i [H_E, H_B] in place: entry [l, l'] times i (b[l'] - b[l])
-    comm *= ib[None, :] - ib[:, None]
-    alpha = float(np.abs(np.linalg.eigvalsh(comm)).max())
+    e, b = operator_diagonals(model)
+
+    def commutator(psi):
+        psi = psi.reshape(e.shape)
+        return 1j * (fourier_conjugate(e, b * psi) - b * fourier_conjugate(e, psi)).ravel()
+
+    (low, _), (high, _) = extreme_eigenpairs(commutator, e.size)
+    alpha = max(abs(low), abs(high))
     (_, dropped_e), (_, dropped_b) = truncated_factor_series(model, plan)
     theta_e = plan.theta_e.resolve(plan.dt)
     theta_b = plan.theta_b.resolve(plan.dt)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import u1rotor as u
 from u1rotor.trotter import term_series
@@ -209,7 +209,8 @@ def test_hermiticity_checked_on_the_kernel(monkeypatch):
     monkeypatch.setattr(hamiltonian, "_register_sum", skewed)
     model = _model(n_q=2)
     plan = u.TrotterPlan(1, 0.1, 1)
-    for entry in (u.dense_electric, u.dense_matrix, lambda m: u.error_bound(m, plan)):
+    for entry in (u.dense_electric, u.dense_matrix, u.ground_state, u.plaquette_expectation,
+                  lambda m: u.error_bound(m, plan)):
         with pytest.raises(AssertionError, match="not Hermitian"):
             entry(model)
 
@@ -379,10 +380,50 @@ def test_ground_state_matches_eigh(basis, n_q):
 
 
 def test_ground_state_residual_check(monkeypatch):
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: eigvalsh(h) + 1e-3)
+    from u1rotor import hamiltonian
+
+    extreme_eigenpairs = hamiltonian.extreme_eigenpairs
+
+    def shifted(apply, dim):
+        (low, vector), high = extreme_eigenpairs(apply, dim)
+        return (low + 1e-3, vector), high
+
+    monkeypatch.setattr(hamiltonian, "extreme_eigenpairs", shifted)
     with pytest.raises(AssertionError, match="residual"):
         u.ground_state(_model(n_q=2))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_dense_case())
+# 2x2 at n_q = 1 (dim 8): the Krylov space runs out, and the commutator's breaks down;
+# 2x3 at n_q = 1 (dim 32) runs out only with the basis kept orthogonal; 2x2 at n_q = 3
+# takes over a hundred steps to its ground state
+@example(_model(n_q=1, g=0.5, formulation="non-compact"))
+@example(_model(n_q=1, g=2.0))
+@example(_model(n_q=1, g=1.0, formulation="non-compact", lat=u.LatticeSpec(2, 3)))
+@example(_model(n_q=3, g=1.0))
+def test_lanczos_matches_dense_eigensolvers(model):
+    h = u.dense_matrix(model)
+    vals, vecs = np.linalg.eigh(h)
+    radius = np.abs(vals).max()
+    energy, psi = u.ground_state(model)
+    assert abs(energy - vals[0]) <= 1e-12 * radius
+    assert np.linalg.norm(h @ psi - energy * psi) <= 1e-12 * radius
+    assert abs(np.vdot(vecs[:, 0], psi)) >= 1 - 1e-12
+    _, b_diag = u.dense_diagonals(model)
+    if model.digitization.formulation == "compact":
+        h_b = float(np.real(np.vdot(vecs[:, 0], b_diag * vecs[:, 0])))
+        expected = 1.0 + model.digitization.g**2 / (model.n_p + 1) * h_b
+        assert u.plaquette_expectation(model) == pytest.approx(expected, abs=1e-12)
+    comm = u.dense_electric(model) * (1j * (b_diag[None, :] - b_diag[:, None]))
+    alpha = np.abs(np.linalg.eigvalsh(comm)).max()
+    assert abs(u.error_bound(model, u.TrotterPlan(1, 0.1, 1)).alpha - alpha) <= 1e-12 * alpha
+
+
+def test_lanczos_raises_unconverged():
+    # a NaN operator never meets the residual bound: no value is returned
+    with pytest.raises(np.linalg.LinAlgError, match="unconverged"):
+        u.extreme_eigenpairs(lambda v: np.full_like(v, np.nan), 8)
 
 
 def test_plaquette_expectation_limits():
