@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .circuits import export_qasm, gate_count, sequency_gate_counts
+from .circuits import export_qasm, sequency_gate_counts
 from .hamiltonian import (
     CosineTerm,
     build_model,
@@ -59,6 +59,7 @@ from .trotter import (
     product_scaling_study,
     step_circuit,
     term_series,
+    truncated_factor_series,
 )
 from .walsh import l1_norm
 
@@ -305,9 +306,12 @@ def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy
     theta_res = theta.resolve(dt)
     use = weave if basis == "weaved" else None
     if term == "step":
-        model = _model(lattice, n_q, g, formulation, basis, weave)
-        counts = gate_count(step_circuit(model, plan))
-        return counts["rz"], counts["cx"]
+        # the step applies each factor's kept series in SPLITTING order; its
+        # Fourier blocks hold no Rz or CNOT
+        kept = truncated_factor_series(_model(lattice, n_q, g, formulation, basis, weave), plan)
+        factors = {name: sequency_gate_counts(series) for name, (series, _) in zip("EB", kept)}
+        counts = [factors[name] for name in SPLITTING[order]]
+        return sum(c["rz"] for c in counts), sum(c["cx"] for c in counts)
     if term == "cosine":
         series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, n_q, g, "compact"), dt)
     elif term == "maximal":
@@ -352,18 +356,16 @@ def cmd_gatecount(args) -> int:
 
     def point(v):
         kw = dict(term=args.term, lattice=lattice, n_p=n_p, n_q=n_q, g=args.g, basis=args.basis,
-                  weave=_resolve_weave(args, n_p), theta=theta, dt=dt, order=args.order,
-                  formulation=args.formulation)
+                  theta=theta, dt=dt, order=args.order, formulation=args.formulation)
         if axis == "np":
             kw["n_p"] = int(v)
-            kw["weave"] = _resolve_weave(args, int(v))
         elif axis == "nq":
             kw["n_q"] = int(v)
         elif axis == "g":
             kw["g"] = float(v)
         elif axis == "theta":
             kw["theta"] = ThetaPolicy(theta.mode, float(v))
-        return gatecount_point(**kw)
+        return gatecount_point(weave=_resolve_weave(args, kw["n_p"]), **kw)
 
     counts = _pmap(point, values, args.workers)
     rows = []
@@ -392,14 +394,15 @@ def cmd_l1(args) -> int:
     b_max = args.bmax_over_pi * math.pi if args.bmax_over_pi is not None else None
     rows = []
     for n_q in args.nq:
-        for n_p in args.np or range(1, limit // n_q + 1):
+        # n_p = 1 at least, so a width above the limit fails instead of adding no row
+        for n_p in args.np or range(1, max(limit // n_q, 1) + 1):
+            n = n_p * n_q
+            if n > limit:
+                raise ResourceLimitError(f"term spans {n} qubits, above --qubit-limit {limit}")
             if b_max is None:
                 d = digitize(n_p, n_q, g, "compact")
             else:
                 d = Digitization(n_q, g, np.full(n_p, b_max), "compact", "original")
-            n = n_p * n_q
-            if n > limit:
-                raise ResourceLimitError(f"term spans {n} qubits, above --qubit-limit {limit}")
             # the term's own series: embedding moves masks, not coefficients
             val = l1_norm(term_series(_bare_cosine(n_p, g), d, 1.0))
             rows.append((n_q, n_p, n, val, 2.0 ** ((n - 5) / 4.0)))

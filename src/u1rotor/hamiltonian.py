@@ -31,7 +31,8 @@ The qubit caps are constants of this module, checked only where memory is
 allocated: `DENSE_LIMIT_QUBITS` in `operator_diagonals` (so every dense
 matrix, spectrum, ground state, evolution and error budget),
 `TERM_LIMIT_QUBITS` in `diagonal_of_term` and `dense_diagonals` (so every
-Walsh series).  Above a cap they raise `ResourceLimitError` before allocating.
+Walsh series) and in `trotter.product_scaling_study` (its widest product).
+Above a cap they raise `ResourceLimitError` before allocating.
 """
 
 from __future__ import annotations
@@ -371,9 +372,9 @@ def extreme_eigenpairs(apply, dim: int):
     never above the spectral radius.  Unconverged at ``dim`` steps, or on a
     non-finite residual, it raises `numpy.linalg.LinAlgError`.
     """
-    def orthogonalize(w, k):  # against basis[:k + 1]
+    def orthogonalize(w, k):  # against basis[:k + 1]; conjugating w, not the basis, copies no basis
         for _ in range(2):
-            w = w - basis[: k + 1].T @ (basis[: k + 1].conj() @ w)
+            w = w - basis[: k + 1].T @ (basis[: k + 1] @ w.conj()).conj()
         return w
 
     rng = np.random.default_rng(0)

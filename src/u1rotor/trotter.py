@@ -15,13 +15,15 @@ splittings where the coefficients themselves shrink with dt.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, exact_circuit, qft_circuit, sequency_gate_counts
 from .hamiltonian import (
+    TERM_LIMIT_QUBITS,
     HamiltonianModel,
+    _check_cap,
     diagonal_of_term,
     extreme_eigenpairs,
     fourier_conjugate,
@@ -112,10 +114,10 @@ def factor_series(model: HamiltonianModel, plan: TrotterPlan):
 def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
     """((kept_e, dropped_e), (kept_b, dropped_b)) at the plan's resolved cutoffs.
 
-    This is the one truncation decision behind `step_circuit`, the
-    fused-phase evolution of `simulator.loschmidt` and the drop counts of
-    `error_bound` and `n_drop_monotonicity_check`: each factor is exactly
-    exp(i * state_values(kept)), its mask-0 coefficient included.
+    This is the one truncation decision behind `step_circuit`, the step
+    gate counts of the CLI, the fused-phase evolution of
+    `simulator.loschmidt` and the drop counts of `error_bound`: each factor
+    is exactly exp(i * state_values(kept)), its mask-0 coefficient included.
     """
     series_e, series_b = factor_series(model, plan)
     return (threshold_truncate(series_e, plan.theta_e.resolve(plan.dt)),
@@ -191,24 +193,6 @@ def error_bound(model: HamiltonianModel, plan: TrotterPlan) -> ErrorBudget:
     return ErrorBudget(alpha, c_e, c_b, theta_e, theta_b, bound)
 
 
-@dataclass(frozen=True)
-class NDropReport:
-    dts: tuple[float, ...]
-    n_drops: tuple[int, ...]
-    non_decreasing: bool
-
-
-def n_drop_monotonicity_check(
-    model: HamiltonianModel, plan: TrotterPlan, dts
-) -> NDropReport:
-    """Total drop count per step size, checked to be non-decreasing in dt."""
-    dts = tuple(sorted(float(x) for x in dts))
-    drops = [sum(dropped for _, dropped in truncated_factor_series(model, replace(plan, dt=dt)))
-             for dt in dts]
-    monotone = all(a <= b for a, b in zip(drops, drops[1:]))
-    return NDropReport(dts, tuple(drops), monotone)
-
-
 def product_scaling_study(n_q=2, np_max=8, g=0.1):
     """CNOT counts and polynomial fits for exp(i * cos x ... cos x) products.
 
@@ -218,6 +202,7 @@ def product_scaling_study(n_q=2, np_max=8, g=0.1):
     the first with it.  Predictions are 2 * A2^r with A2 the second largest
     single-cosine coefficient magnitude.  The cutoffs are 2^-k for k = 0..36.
     """
+    _check_cap("product", n_q * np_max, "dense diagonal", TERM_LIMIT_QUBITS)
     d = digitize(1, n_q, g, "compact")
     f = np.cos(b_grid(d, 0))
     single = np.sort(np.abs(fwt(f).coeffs))[::-1]

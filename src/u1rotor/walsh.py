@@ -33,14 +33,6 @@ import numpy as np
 PRUNE_TOL = 1e-15
 
 
-def bit_reverse(value, width: int):
-    """Reverse the low ``width`` bits of ``value`` (an int or an integer array)."""
-    out = value & 0  # zero of the same type and shape
-    for i in range(width):
-        out = (out << 1) | ((value >> i) & 1)
-    return out
-
-
 _WORD = (1 << 64) - 1
 _SHIFTS = (1, 2, 4, 8, 16, 32)  # doubling shifts that fold a whole 64-bit word
 
@@ -92,20 +84,6 @@ class WalshSeries:
             return 0.0
         hit = np.flatnonzero((self.words == _words([mask], self.n)).all(axis=1))
         return float(self.coeffs[hit[0]]) if hit.size else 0.0
-
-
-def walsh_value(j: int, k: int, n: int) -> int:
-    """Value (+1 or -1) of the j-th Paley Walsh function at sample index k.
-
-    ``k`` is interpreted dyadically (bit-reversed binary), so the result is
-    ``(-1)^popcount(j & reverse_n(k))``.
-    """
-    if not 0 <= j < (1 << n):
-        raise ValueError(f"index j={j} out of range for n={n}")
-    if not 0 <= k < (1 << n):
-        raise ValueError(f"sample k={k} out of range for n={n}")
-    parity = bin(j & bit_reverse(k, n)).count("1") & 1
-    return -1 if parity else 1
 
 
 def _fwht_inplace(a: np.ndarray) -> None:

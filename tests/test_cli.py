@@ -83,6 +83,32 @@ def test_gatecount_wide_noncompact_matches_circuit(tmp_path, term):
     assert int(rows[0][header.index("cnot")]) == counts["cx"]
 
 
+STEP_CASES = [("2x2", order, formulation, basis) for order in (1, 2)
+              for formulation in ("compact", "non-compact") for basis in ("original", "weaved")]
+STEP_CASES += [("8x8", order, "non-compact", "original") for order in (1, 2)]  # 126 qubits
+
+
+@pytest.mark.parametrize("lattice, order, formulation, basis", STEP_CASES)
+def test_gatecount_step_matches_step_circuit(tmp_path, lattice, order, formulation, basis):
+    # step counts add up the factors' series counts; the synthesized step is the oracle
+    thetas = [0.0, 0.001, 0.05]
+    out = tmp_path / "gates.json"
+    assert main(["gatecount", "--axis", "theta", "--term", "step", "--lattice", lattice,
+                 "--nq", "2", "--g", "0.7", "--dt", "0.2", "--order", str(order),
+                 "--formulation", formulation, "--basis", basis,
+                 "--theta-grid", ",".join(map(str, thetas)), "--format", "json",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    lat = u.LatticeSpec(*map(int, lattice.split("x")))
+    weave = u.builtin_weave(lat.n_p) if basis == "weaved" else None
+    model = u.build_model(lat, u.digitize(lat.n_p, 2, 0.7, formulation, basis, weave), weave)
+    for theta, row in zip(thetas, rows):
+        policy = u.ThetaPolicy("abs", theta)
+        counts = u.gate_count(u.step_circuit(model, u.TrotterPlan(order, 0.2, 1, policy, policy)))
+        assert counts["cx"] > 0
+        assert row[:3] == [theta, counts["rz"], counts["cx"]]
+
+
 def test_gatecount_weaved_drops_to_zero(tmp_path):
     out = tmp_path / "sweep.csv"
     main(["gatecount", "--axis", "g", "--term", "magnetic", "--basis", "weaved",
@@ -291,6 +317,8 @@ def test_config_values_checked_like_flags(tmp_path, entry):
 # message fragments that a bad-input case must name
 BAD_INPUT_MESSAGES = {
     ("l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"): "above --qubit-limit 16",
+    ("l1", "--nq", "17"): "above --qubit-limit 16",
+    ("product-scaling", "--nq", "8", "--np", "3"): "product spans 24 qubits, above the",
     ("evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin",
      "--theta-list", "inf"): "cutoff must be non-negative and finite",
     ("export", "--lattice", "2x2", "--nq", "1", "--theta-min", "inf"):
@@ -413,6 +441,10 @@ BAD_INPUT_MESSAGES = {
     # zero and negative worker counts ran the sweep serially
     ["l1", "--nq", "2", "--workers", "0"],
     ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--workers", "-3"],
+    # a width above --qubit-limit without --np left no n_p to run: a header-only table
+    ["l1", "--nq", "17"],
+    # 24 qubits of repeated products went to the transform unchecked
+    ["product-scaling", "--nq", "8", "--np", "3"],
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
     (tmp_path / "lattice.json").write_text('{"lattice": "2x2"}')

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import u1rotor as u
-from u1rotor.trotter import factor_series
+from u1rotor.trotter import factor_series, product_scaling_study, truncated_factor_series
 
 
 def _model(n_q=2, g=0.5, formulation="compact"):
@@ -145,15 +147,24 @@ def test_error_bound_override_constants():
 def test_n_drop_monotone_in_dt():
     # cutoff scaling with a power of dt >= 1: dropping can only grow with dt
     model = _model()
+
+    def drops(plan, dts):
+        return [sum(dropped for _, dropped in truncated_factor_series(model, replace(plan, dt=dt)))
+                for dt in dts]
+
     plan = u.TrotterPlan(2, 0.1, 1, u.ThetaPolicy("dt2", 1.0), u.ThetaPolicy("dt2", 1.0))
-    report = u.n_drop_monotonicity_check(model, plan, [0.8, 0.05, 0.2, 0.4, 0.1])
-    assert report.non_decreasing
-    assert report.dts == tuple(sorted(report.dts))
-    assert report.n_drops[-1] > report.n_drops[0]
+    n_drops = drops(plan, [0.05, 0.1, 0.2, 0.4, 0.8])
+    assert n_drops == sorted(n_drops)
+    assert n_drops[-1] > n_drops[0]
     # under the linear policy at order 1 the count is flat across dt
     plan_lin = u.TrotterPlan(1, 0.1, 1, u.ThetaPolicy("dt", 1.0), u.ThetaPolicy("dt", 1.0))
-    flat = u.n_drop_monotonicity_check(model, plan_lin, [0.05, 0.1, 0.2, 0.4])
-    assert len(set(flat.n_drops)) == 1
+    assert len(set(drops(plan_lin, [0.05, 0.1, 0.2, 0.4]))) == 1
+
+
+def test_product_scaling_study_checks_the_term_cap():
+    # 8 x 3 = 24 qubits: raised before the first product is built
+    with pytest.raises(u.ResourceLimitError, match="product spans 24 qubits"):
+        product_scaling_study(8, 3, 0.1)
 
 
 def test_merged_series_before_truncation_in_step():
