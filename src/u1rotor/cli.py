@@ -9,12 +9,13 @@ Subcommands
     evolve           |<U(t)>|^2 across a coupling grid per (dt, theta) choice
     export           one Trotter step as OpenQASM 2.0
 
-Each subcommand takes only the flags it reads (`_COMMANDS`), and the parser
-holds their defaults; any other flag is rejected.  Every run is
-deterministic; tables carry the resolved configuration in their header so
-outputs are reproducible byte for byte.  Tables built on dense eigensolvers
-(spectrum, plaquette) are byte-reproducible only at a fixed BLAS thread count
-(e.g. OPENBLAS_NUM_THREADS=1): the thread count changes the eigensolver's
+Each subcommand takes the flags it reads (`_COMMANDS`), plus --workers,
+which every subcommand accepts and only the sweeps read; the parser holds
+their defaults and rejects any other flag.  Every run is deterministic;
+tables carry the resolved configuration in their header so outputs are
+reproducible byte for byte.  Tables built on dense eigensolvers (spectrum,
+plaquette) are byte-reproducible only at a fixed BLAS thread count (e.g.
+OPENBLAS_NUM_THREADS=1): the thread count changes the eigensolver's
 rounding.  Values may come from a JSON config file (--config) keyed by the
 subcommand's flag names; its values are read as flag text (lists joined by
 commas) and explicit command-line flags win.
@@ -45,7 +46,6 @@ from .lattice import (
     Digitization,
     LatticeSpec,
     ResourceLimitError,
-    WeaveUnavailableError,
     builtin_weave,
     digitize,
     load_weave,
@@ -184,13 +184,13 @@ def _meta(command: str, config: dict) -> dict:
 # shared model construction
 
 
-def _resolve_weave(args, n_p):
-    if args.weave:
-        return load_weave(args.weave)
-    try:
-        return builtin_weave(n_p)
-    except WeaveUnavailableError:
+def _resolve_weave(args, n_p, basis):
+    """The weave of `basis`: none in the original basis, else --weave FILE or the built-in one."""
+    if basis != "weaved":
+        if args.weave:
+            raise ValueError("--weave applies only with --basis weaved")
         return None
+    return load_weave(args.weave) if args.weave else builtin_weave(n_p)
 
 
 def _model(lattice, n_q, g, formulation, basis, weave):
@@ -205,7 +205,7 @@ def _model(lattice, n_q, g, formulation, basis, weave):
 def cmd_spectrum(args) -> int:
     lattice, nq_list, formulation, basis, levels = (
         args.lattice, args.nq, args.formulation, args.basis, args.levels)
-    weave = _resolve_weave(args, lattice.n_p) if basis == "weaved" else None
+    weave = _resolve_weave(args, lattice.n_p, basis)
 
     def lowest(n_q):
         model = _model(lattice, n_q, args.g, formulation, basis, weave)
@@ -253,14 +253,14 @@ def cmd_spectrum(args) -> int:
 def plaquette_point(lattice, n_q, g, weave, scan=False):
     """Plaquette expectation in both bases; optionally scan the weaved widths."""
     orig = plaquette_expectation(_model(lattice, n_q, g, "compact", "original", None))
-    d_weav = digitize(lattice.n_p, n_q, g, "compact", "weaved", weave)
-    weav = plaquette_expectation(build_model(lattice, d_weav, weave))
+    weaved = _model(lattice, n_q, g, "compact", "weaved", weave)
+    weav = plaquette_expectation(weaved)
     row = {"g": g, "original": orig, "weaved": weav,
            "ratio": weav / orig if abs(orig) > 1e-300 else None}
     if scan:
         best = (None, np.inf)
         for scale in np.linspace(0.6, 1.4, 33):
-            d_s = Digitization(n_q, g, scale * d_weav.b_max, "compact", "weaved")
+            d_s = Digitization(n_q, g, scale * weaved.digitization.b_max, "compact", "weaved")
             val = plaquette_expectation(build_model(lattice, d_s, weave))
             diff = abs(val - orig)
             if diff < best[1]:
@@ -272,9 +272,7 @@ def plaquette_point(lattice, n_q, g, weave, scan=False):
 
 def cmd_plaquette(args) -> int:
     lattice, n_q, gs, scan = args.lattice, args.nq, args.g_grid, args.scan_bmax
-    weave = _resolve_weave(args, lattice.n_p)
-    if weave is None:
-        raise SystemExit("plaquette comparison needs a weave; pass --weave for this n_p")
+    weave = _resolve_weave(args, lattice.n_p, "weaved")  # the weaved side of the comparison
 
     points = _pmap(lambda g: plaquette_point(lattice, n_q, float(g), weave, scan), gs, args.workers)
     columns = ["g", "plaquette_original", "plaquette_weaved", "ratio"]
@@ -304,7 +302,6 @@ def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy
     """(rz, cnot) for one sweep point; `term` picks what gets synthesized."""
     plan = TrotterPlan(order, dt, 1, theta, theta)  # checks dt for every term
     theta_res = theta.resolve(dt)
-    use = weave if basis == "weaved" else None
     if term == "step":
         # the step applies each factor's kept series in SPLITTING order; its
         # Fourier blocks hold no Rz or CNOT
@@ -315,15 +312,15 @@ def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy
     if term == "cosine":
         series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, n_q, g, "compact"), dt)
     elif term == "maximal":
-        d = digitize(n_p, n_q, g, "compact", basis, use)
-        series = hamiltonian_series(magnetic_terms(d, use)[-1:], d, -dt)
+        d = digitize(n_p, n_q, g, "compact", basis, weave)
+        series = hamiltonian_series(magnetic_terms(d, weave)[-1:], d, -dt)
     elif term == "electric":
-        series = hamiltonian_series(electric_terms(lattice, use),
-                                    digitize(n_p, n_q, g, formulation, basis, use), -dt)
+        series = hamiltonian_series(electric_terms(lattice, weave),
+                                    digitize(n_p, n_q, g, formulation, basis, weave), -dt)
     elif term == "magnetic":
         # magnetic terms only need the plaquette count, not the geometry
-        d = digitize(n_p, n_q, g, formulation, basis, use)
-        series = hamiltonian_series(magnetic_terms(d, use), d, -dt)
+        d = digitize(n_p, n_q, g, formulation, basis, weave)
+        series = hamiltonian_series(magnetic_terms(d, weave), d, -dt)
     else:
         raise SystemExit(f"unknown term {term!r}")
     counts = sequency_gate_counts(series, theta_res)
@@ -365,7 +362,7 @@ def cmd_gatecount(args) -> int:
             kw["g"] = float(v)
         elif axis == "theta":
             kw["theta"] = ThetaPolicy(theta.mode, float(v))
-        return gatecount_point(weave=_resolve_weave(args, kw["n_p"]), **kw)
+        return gatecount_point(weave=_resolve_weave(args, kw["n_p"], args.basis), **kw)
 
     counts = _pmap(point, values, args.workers)
     rows = []
@@ -437,9 +434,7 @@ def cmd_product_scaling(args) -> int:
 def cmd_evolve(args) -> int:
     lattice, basis, gs, t = args.lattice, args.basis, args.g_grid, args.t
     dts, kappas, mode = args.dt_list, args.theta_list, args.theta_min_policy
-    weave = _resolve_weave(args, lattice.n_p) if basis == "weaved" else None
-    if basis == "weaved" and weave is None:
-        raise SystemExit("weaved evolution needs --weave for this n_p")
+    weave = _resolve_weave(args, lattice.n_p, basis)
 
     points = [(float(g), float(dt), float(kappa)) for g in gs for dt in dts for kappa in kappas]
     if not 0 <= t < math.inf:
@@ -448,6 +443,8 @@ def cmd_evolve(args) -> int:
     for dt in dts:
         if not 0 < dt < math.inf:
             raise ValueError(f"step size must be positive and finite, got {dt:g}")
+        if not t / dt < sys.maxsize:
+            raise ValueError(f"--t {t:g} takes too many steps of size {dt:g}")
         steps[dt] = n = round(t / dt)
         if abs(n * dt - t) > 1e-9 * abs(t):
             raise SystemExit(f"--t {t:g} is not a whole number of steps of size {dt:g}")
@@ -475,7 +472,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_export(args) -> int:
-    weave = _resolve_weave(args, args.lattice.n_p) if args.basis == "weaved" else None
+    weave = _resolve_weave(args, args.lattice.n_p, args.basis)
     theta = ThetaPolicy(args.theta_min_policy, args.theta_min)
     model = _model(args.lattice, args.nq, args.g, args.formulation, args.basis, weave)
     plan = TrotterPlan(args.order, args.dt, 1, theta, theta)

@@ -31,8 +31,9 @@ The qubit caps are constants of this module, checked only where memory is
 allocated: `DENSE_LIMIT_QUBITS` in `operator_diagonals` (so every dense
 matrix, spectrum, ground state, evolution and error budget),
 `TERM_LIMIT_QUBITS` in `diagonal_of_term` and `dense_diagonals` (so every
-Walsh series) and in `trotter.product_scaling_study` (its widest product).
-Above a cap they raise `ResourceLimitError` before allocating.
+Walsh series), in `trotter.product_scaling_study` (its widest product) and
+in `simulator.loschmidt` (the state limit; its message gives the bytes of
+one state).  Above a cap they raise `ResourceLimitError` before allocating.
 """
 
 from __future__ import annotations
@@ -179,15 +180,15 @@ def build_model(
 ) -> HamiltonianModel:
     if d.n_p != lattice.n_p:
         raise ValueError(f"digitization has n_p={d.n_p}, lattice has n_p={lattice.n_p}")
-    if d.basis == "weaved" and weave is None:
-        raise ValueError("weaved basis requires a weave matrix")
-    use = weave if d.basis == "weaved" else None
+    if (d.basis == "weaved") != (weave is not None):
+        need = "requires a" if weave is None else "takes no"
+        raise ValueError(f"{d.basis} basis {need} weave matrix")
     return HamiltonianModel(
         lattice,
         d,
-        use,
-        tuple(electric_terms(lattice, use)),
-        tuple(magnetic_terms(d, use)),
+        weave,
+        tuple(electric_terms(lattice, weave)),
+        tuple(magnetic_terms(d, weave)),
     )
 
 

@@ -27,7 +27,7 @@ import numpy as np
 WEAVE_ORTHO_TOL = 1e-10
 
 
-class WeaveUnavailableError(LookupError):
+class WeaveUnavailableError(ValueError):
     """No built-in weave for this plaquette count; load one from a file."""
 
 
@@ -205,8 +205,9 @@ def digitize(
     weave: WeaveMatrix | None = None,
 ) -> Digitization:
     """Apply the half-width prescriptions to every independent plaquette."""
-    if basis == "weaved" and weave is None:
-        raise ValueError("weaved basis requires a weave matrix")
+    if (basis == "weaved") != (weave is not None):
+        need = "requires a" if weave is None else "takes no"
+        raise ValueError(f"{basis} basis {need} weave matrix")
     if weave is not None and weave.n_p != n_p:
         raise ValueError(f"weave is {weave.n_p}x{weave.n_p} but lattice has n_p={n_p}")
     b_max = np.empty(n_p)
@@ -214,8 +215,7 @@ def digitize(
         if formulation == "non-compact":
             b_max[i] = b_max_noncompact(g, n_q)
         else:
-            cap_weave = weave if basis == "weaved" else None
-            b_max[i] = b_max_compact(g, n_q, i, cap_weave)
+            b_max[i] = b_max_compact(g, n_q, i, weave)
     return Digitization(n_q, g, b_max, formulation, basis)
 
 

@@ -132,8 +132,9 @@ def loschmidt(model: HamiltonianModel, plan: TrotterPlan) -> float:
     phase_b = np.exp(1j * state_values(kept_b)).reshape(shape)
     factors = {"E": lambda psi: fourier_conjugate(phase_e, psi), "B": lambda psi: phase_b * psi}
     psi = psi0.reshape(shape)
-    for name in SPLITTING[plan.order] * plan.steps:
-        psi = factors[name](psi)
+    for _ in range(plan.steps):
+        for name in SPLITTING[plan.order]:
+            psi = factors[name](psi)
     return float(abs(np.vdot(psi0, psi.ravel())) ** 2)
 
 

@@ -314,6 +314,33 @@ def test_config_values_checked_like_flags(tmp_path, entry):
     assert not out.exists()
 
 
+# a weave file on the original basis: the missing file shows that nothing is read
+ORIGINAL_WITH_WEAVE = [
+    ["spectrum", "--lattice", "2x2", "--nq", "1,2", "--levels", "4", "--weave",
+     "{tmp}/missing.json"],
+    ["gatecount", "--term", "step", "--lattice", "2x2", "--nq", "1", "--weave",
+     "{tmp}/missing.json"],
+    ["gatecount", "--term", "magnetic", "--nq", "1", "--weave", "{tmp}/missing.json"],
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--weave",
+     "{tmp}/missing.json"],
+    ["export", "--lattice", "2x2", "--nq", "1", "--weave", "{tmp}/missing.json"],
+]
+# the weaved basis on 2x3 (n_p = 5), which has no built-in weave
+WEAVED_WITHOUT_WEAVE = [
+    ["spectrum", "--lattice", "2x3", "--nq", "1", "--levels", "4", "--basis", "weaved"],
+    ["plaquette", "--lattice", "2x3", "--nq", "1", "--g-grid", "1:1:1:lin"],
+    ["evolve", "--lattice", "2x3", "--nq", "1", "--g-grid", "1:1:1:lin", "--basis", "weaved"],
+    ["export", "--lattice", "2x3", "--nq", "1", "--basis", "weaved"],
+    ["gatecount", "--term", "magnetic", "--np", "5", "--nq", "1", "--basis", "weaved"],
+]
+# t / dt beyond an index-sized integer: round(inf) or a step string too long to build
+STEP_OVERFLOW = [
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--t", "1e300",
+     "--dt-list", "1e-10"],
+    ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--t", "0.2",
+     "--dt-list", "1e-300"],
+]
+
 # message fragments that a bad-input case must name
 BAD_INPUT_MESSAGES = {
     ("l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"): "above --qubit-limit 16",
@@ -343,6 +370,9 @@ BAD_INPUT_MESSAGES = {
     ("gatecount", "--term", "cosine", "--lattice", "4x4"): "span one plaquette",
     ("gatecount", "--term", "electric", "--lattice", "2x2", "--nq", "2", "--order", "2",
      "--theta-grid", "0,0.1"): "--order 2 applies to --term step only",
+    **{tuple(argv): "--weave applies only with --basis weaved" for argv in ORIGINAL_WITH_WEAVE},
+    **{tuple(argv): "no built-in weave for n_p=5" for argv in WEAVED_WITHOUT_WEAVE},
+    **{tuple(argv): "too many steps" for argv in STEP_OVERFLOW},
 }
 
 
@@ -445,6 +475,12 @@ BAD_INPUT_MESSAGES = {
     ["l1", "--nq", "17"],
     # 24 qubits of repeated products went to the transform unchecked
     ["product-scaling", "--nq", "8", "--np", "3"],
+    # a weave file on the original basis was ignored (every command but
+    # gatecount, which read it), and a missing weave failed in three ways
+    *ORIGINAL_WITH_WEAVE,
+    *WEAVED_WITHOUT_WEAVE,
+    # the step count overflowed into an OverflowError traceback
+    *STEP_OVERFLOW,
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
     (tmp_path / "lattice.json").write_text('{"lattice": "2x2"}')

@@ -163,8 +163,16 @@ def test_grid_spacing_conjugacy():
 
 
 def test_digitize_validation():
-    with pytest.raises(ValueError, match="weave"):
+    with pytest.raises(ValueError, match="weaved basis requires a weave"):
         u.digitize(3, 2, 0.1, "compact", basis="weaved")
+    # a weave exists only in the weaved basis: the one passed is the one used
+    with pytest.raises(ValueError, match="original basis takes no weave"):
+        u.digitize(3, 2, 0.1, "compact", weave=u.builtin_weave(3))
+    lat = u.LatticeSpec(2, 2)
+    with pytest.raises(ValueError, match="weaved basis requires a weave"):
+        u.build_model(lat, u.Digitization(2, 0.1, np.ones(3), "compact", "weaved"))
+    with pytest.raises(ValueError, match="original basis takes no weave"):
+        u.build_model(lat, u.digitize(3, 2, 0.1, "compact"), u.builtin_weave(3))
     d = u.digitize(3, 2, 50.0, "compact", basis="weaved", weave=u.builtin_weave(3))
     assert np.allclose(d.b_max, [SQRT3 * math.pi, SQRT6 * math.pi, SQRT2 * math.pi])
     with pytest.raises(ValueError, match="pi"):
