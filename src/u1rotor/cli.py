@@ -18,7 +18,9 @@ plaquette) are byte-reproducible only at a fixed BLAS thread count (e.g.
 OPENBLAS_NUM_THREADS=1): the thread count changes the eigensolver's
 rounding.  Values may come from a JSON config file (--config) keyed by the
 subcommand's flag names; its values are read as flag text (lists joined by
-commas) and explicit command-line flags win.
+commas) and explicit command-line flags win.  Bad input raises ValueError
+where it is found; only `main` prints it, as one line `u1rotor <cmd>: message`
+with exit status 1, and no table is written.
 """
 
 from __future__ import annotations
@@ -172,12 +174,7 @@ def write_table(meta: dict, columns: list[str], rows, fmt: str, out) -> str:
 
 
 def _meta(command: str, config: dict) -> dict:
-    clean = {}
-    for key, val in sorted(config.items()):
-        if isinstance(val, np.ndarray):
-            val = val.tolist()
-        clean[key] = val
-    return {"version": __version__, "command": command, "config": clean}
+    return {"version": __version__, "command": command, "config": config}
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +210,12 @@ def cmd_spectrum(args) -> int:
         return vals[:levels]
 
     if formulation == "compact" and len(set(nq_list)) < 2:
-        raise SystemExit(
+        raise ValueError(
             "compact spectra need at least two --nq values; the largest serves as the reference"
         )
     dim = 1 << (lattice.n_p * min(nq_list))
     if levels > dim:
-        raise SystemExit(f"--levels {levels} exceeds the {dim} levels of the smallest matrix")
+        raise ValueError(f"--levels {levels} exceeds the {dim} levels of the smallest matrix")
     if formulation == "non-compact":
         reference = noncompact_spectrum_oracle(lattice, levels)
         run_nqs = nq_list
@@ -298,82 +295,69 @@ def _bare_cosine(n_p: int, g: float) -> CosineTerm:
     return CosineTerm(tuple((p, 1.0) for p in range(n_p)), prefactor=g**2)
 
 
-def gatecount_point(term, lattice, n_p, n_q, g, basis, weave, theta: ThetaPolicy, dt, order, formulation):
-    """(rz, cnot) for one sweep point; `term` picks what gets synthesized."""
-    plan = TrotterPlan(order, dt, 1, theta, theta)  # checks dt for every term
-    theta_res = theta.resolve(dt)
-    if term == "step":
-        # the step applies each factor's kept series in SPLITTING order; its
-        # Fourier blocks hold no Rz or CNOT
-        kept = truncated_factor_series(_model(lattice, n_q, g, formulation, basis, weave), plan)
-        factors = {name: sequency_gate_counts(series) for name, (series, _) in zip("EB", kept)}
-        counts = [factors[name] for name in SPLITTING[order]]
-        return sum(c["rz"] for c in counts), sum(c["cx"] for c in counts)
-    if term == "cosine":
-        series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, n_q, g, "compact"), dt)
-    elif term == "maximal":
-        d = digitize(n_p, n_q, g, "compact", basis, weave)
-        series = hamiltonian_series(magnetic_terms(d, weave)[-1:], d, -dt)
-    elif term == "electric":
-        series = hamiltonian_series(electric_terms(lattice, weave),
-                                    digitize(n_p, n_q, g, formulation, basis, weave), -dt)
-    elif term == "magnetic":
-        # magnetic terms only need the plaquette count, not the geometry
-        d = digitize(n_p, n_q, g, formulation, basis, weave)
-        series = hamiltonian_series(magnetic_terms(d, weave), d, -dt)
-    else:
-        raise SystemExit(f"unknown term {term!r}")
-    counts = sequency_gate_counts(series, theta_res)
-    return counts["rz"], counts["cx"]
-
-
 def _fixed(values, flag, axis, default):
     """The value of list flag `flag` off the sweep axis (on it, its first point)."""
     if values is None:
         return default
     if len(values) > 1 and axis != flag:
-        raise SystemExit(f"--{flag} takes one value unless --axis is {flag}")
+        raise ValueError(f"--{flag} takes one value unless --axis is {flag}")
     return values[0]
 
 
 def cmd_gatecount(args) -> int:
-    axis, lattice, dt = args.axis, args.lattice, args.dt
-    if args.term == "cosine" and (lattice or args.np is not None or axis == "np"):
-        raise SystemExit("cosine gate counts span one plaquette: no --lattice, --np or --axis np")
-    if args.order != 1 and args.term != "step":
-        raise SystemExit(f"--order {args.order} applies to --term step only")
+    axis, term, lattice, dt = args.axis, args.term, args.lattice, args.dt
+    basis, formulation = args.basis, args.formulation
+    if term == "cosine" and (lattice or args.np is not None or axis == "np"):
+        raise ValueError("cosine gate counts span one plaquette: no --lattice, --np or --axis np")
+    if term == "cosine" and basis == "weaved":
+        raise ValueError("cosine gate counts are in the original basis: no --basis weaved")
+    if term in ("cosine", "maximal") and formulation != "compact":
+        raise ValueError(f"{term} gate counts are compact only: no --formulation non-compact")
+    if args.order != 1 and term != "step":
+        raise ValueError(f"--order {args.order} applies to --term step only")
     n_q = _fixed(args.nq, "nq", axis, 2)
     n_p = _fixed(args.np, "np", axis, lattice.n_p if lattice else 3)
     fixed = lattice.n_p if lattice else None  # a lattice fixes n_p for every term
-    if (axis == "np" or n_p != fixed) and (lattice or args.term in ("step", "electric")):
-        raise SystemExit(f"{args.term} gate counts need --lattice matching n_p, and no --axis np")
+    if (axis == "np" or n_p != fixed) and (lattice or term in ("step", "electric")):
+        raise ValueError(f"{term} gate counts need --lattice matching n_p, and no --axis np")
     theta = ThetaPolicy(args.theta_min_policy, args.theta_min)
     values = {"np": args.np or list(range(2, 7)), "nq": args.nq or list(range(1, 9)),
               "g": list(map(float, args.g_grid)), "theta": args.theta_grid}[axis]
+    weaves = {p: _resolve_weave(args, p, basis) for p in (values if axis == "np" else [n_p])}
 
     def point(v):
-        kw = dict(term=args.term, lattice=lattice, n_p=n_p, n_q=n_q, g=args.g, basis=args.basis,
-                  theta=theta, dt=dt, order=args.order, formulation=args.formulation)
-        if axis == "np":
-            kw["n_p"] = int(v)
-        elif axis == "nq":
-            kw["n_q"] = int(v)
-        elif axis == "g":
-            kw["g"] = float(v)
-        elif axis == "theta":
-            kw["theta"] = ThetaPolicy(theta.mode, float(v))
-        return gatecount_point(weave=_resolve_weave(args, kw["n_p"], args.basis), **kw)
-
-    counts = _pmap(point, values, args.workers)
-    rows = []
-    for v, (rz, cx) in zip(values, counts):
-        theta_res = (ThetaPolicy(theta.mode, float(v)) if axis == "theta" else theta).resolve(dt)
+        """One table row: the sweep value, Rz and CNOT counts, and the T-per-Rz estimate."""
+        at = dict(np=n_p, nq=n_q, g=args.g, theta=theta.value) | {axis: v}
+        p, q, g = int(at["np"]), int(at["nq"]), float(at["g"])
+        weave, policy = weaves[p], ThetaPolicy(theta.mode, float(at["theta"]))
+        plan = TrotterPlan(args.order, dt, 1, policy, policy)  # checks dt for every term
+        theta_res = policy.resolve(dt)
         t_per_rz = None
         if theta_res > 0:  # 1/theta overflows below about 5.6e-309; -log2(theta) stands in
             inverse = 1.0 / theta_res
             t_per_rz = 1.15 * (math.log2(inverse) if inverse < math.inf else -math.log2(theta_res))
-        rows.append((v, rz, cx, t_per_rz))
-    config = dict(axis=axis, term=args.term, basis=args.basis, formulation=args.formulation,
+        if term == "step":
+            # the step applies each factor's kept series in SPLITTING order; its
+            # Fourier blocks hold no Rz or CNOT
+            kept = truncated_factor_series(_model(lattice, q, g, formulation, basis, weave), plan)
+            factors = {name: sequency_gate_counts(series) for name, (series, _) in zip("EB", kept)}
+            counts = [factors[name] for name in SPLITTING[args.order]]
+            return v, sum(c["rz"] for c in counts), sum(c["cx"] for c in counts), t_per_rz
+        if term == "cosine":
+            series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, q, g, "compact"), dt)
+        elif term == "electric":
+            series = hamiltonian_series(electric_terms(lattice, weave),
+                                        digitize(p, q, g, formulation, basis, weave), -dt)
+        else:
+            # magnetic terms only need the plaquette count, not the geometry
+            d = digitize(p, q, g, formulation, basis, weave)
+            magnetic = magnetic_terms(d, weave)
+            series = hamiltonian_series(magnetic[-1:] if term == "maximal" else magnetic, d, -dt)
+        counts = sequency_gate_counts(series, theta_res)
+        return v, counts["rz"], counts["cx"], t_per_rz
+
+    rows = _pmap(point, values, args.workers)
+    config = dict(axis=axis, term=term, basis=basis, formulation=formulation,
                   nq=n_q, np=n_p, g=args.g, dt=dt, order=args.order, theta_min=theta.value,
                   theta_min_policy=theta.mode,
                   lattice=f"{lattice.n_x}x{lattice.n_y}" if lattice else None, weave=args.weave)
@@ -447,7 +431,7 @@ def cmd_evolve(args) -> int:
             raise ValueError(f"--t {t:g} takes too many steps of size {dt:g}")
         steps[dt] = n = round(t / dt)
         if abs(n * dt - t) > 1e-9 * abs(t):
-            raise SystemExit(f"--t {t:g} is not a whole number of steps of size {dt:g}")
+            raise ValueError(f"--t {t:g} is not a whole number of steps of size {dt:g}")
 
     def run(point):
         g, dt, kappa = point
@@ -583,7 +567,7 @@ def _config_argv(path, args: argparse.Namespace) -> list[str]:
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
         if flag not in map(_option, _COMMANDS[args.command][2]):
-            raise SystemExit(f"config key {key!r} is not an option of {args.command}")
+            raise ValueError(f"config key {key!r} is not an option of {args.command}")
         if value is True:
             tokens.append(flag)
         elif value is not None and value is not False:
@@ -604,7 +588,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_argv(args.config, args) + argv[at:])
         missing = [key.replace("_", "-") for key, value in vars(args).items() if value is _REQUIRED]
         if missing:
-            raise SystemExit(f"u1rotor {args.command}: --{missing[0]} is required")
+            raise ValueError(f"--{missing[0]} is required")
         return args.func(args)
     except (ValueError, ResourceLimitError, OSError) as exc:
         raise SystemExit(f"u1rotor {args.command}: {exc}") from exc

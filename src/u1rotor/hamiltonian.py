@@ -106,7 +106,6 @@ class CosineTerm:
 class HamiltonianModel:
     lattice: LatticeSpec
     digitization: Digitization
-    weave: WeaveMatrix | None
     electric: tuple[BilinearTerm, ...]
     magnetic: tuple
 
@@ -186,7 +185,6 @@ def build_model(
     return HamiltonianModel(
         lattice,
         d,
-        weave,
         tuple(electric_terms(lattice, weave)),
         tuple(magnetic_terms(d, weave)),
     )

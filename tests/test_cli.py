@@ -259,7 +259,7 @@ def test_unknown_config_key_rejected(tmp_path):
         cfg.write_text(json.dumps({key: "x"}))
         with pytest.raises(SystemExit) as exc:
             main(["l1", "--config", str(cfg)])
-        assert exc.value.code == f"config key {key!r} is not an option of l1"
+        assert exc.value.code == f"u1rotor l1: config key {key!r} is not an option of l1"
 
 
 def test_config_grid_with_explicit_grid(tmp_path):
@@ -302,6 +302,27 @@ def test_config_workers_reach_the_sweep(tmp_path, monkeypatch):
     assert seen == [2, 1]
 
 
+def test_gatecount_reads_the_weave_file_once(tmp_path, monkeypatch):
+    import u1rotor.cli as cli
+
+    reads = []
+    load = cli.load_weave
+
+    def spy(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_weave", spy)
+    weave_file = tmp_path / "w3.json"
+    u.save_weave(u.builtin_weave(3), weave_file)
+    main(["gatecount", "--term", "magnetic", "--basis", "weaved", "--nq", "2",
+          "--weave", str(weave_file), "--out", str(tmp_path / "a.csv")])
+    # one read for the 13 points of the default theta grid
+    assert reads == [str(weave_file)]
+    _, _, rows = _read_csv(tmp_path / "a.csv")
+    assert len(rows) == 13
+
+
 @pytest.mark.parametrize("entry", [{"order": 3}, {"g": "abc"}, {"nq": "two"}])
 def test_config_values_checked_like_flags(tmp_path, entry):
     cfg = tmp_path / "cfg.json"
@@ -341,6 +362,16 @@ STEP_OVERFLOW = [
      "--dt-list", "1e-300"],
 ]
 
+# flags that the chosen gatecount term cannot honour: the cosine term is the
+# compact cosine of the original basis, and the maximal term is compact
+IGNORED_BY_TERM = [
+    ["gatecount", "--term", "cosine", "--nq", "2", "--basis", "weaved", "--theta-grid", "0"],
+    ["gatecount", "--term", "cosine", "--nq", "2", "--basis", "weaved", "--theta-grid", "0",
+     "--weave", "{tmp}/missing.json"],
+    ["gatecount", "--term", "cosine", "--formulation", "non-compact"],
+    ["gatecount", "--term", "maximal", "--formulation", "non-compact"],
+]
+
 # message fragments that a bad-input case must name
 BAD_INPUT_MESSAGES = {
     ("l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"): "above --qubit-limit 16",
@@ -373,6 +404,8 @@ BAD_INPUT_MESSAGES = {
     **{tuple(argv): "--weave applies only with --basis weaved" for argv in ORIGINAL_WITH_WEAVE},
     **{tuple(argv): "no built-in weave for n_p=5" for argv in WEAVED_WITHOUT_WEAVE},
     **{tuple(argv): "too many steps" for argv in STEP_OVERFLOW},
+    **{tuple(argv): "no --basis weaved" for argv in IGNORED_BY_TERM[:2]},
+    **{tuple(argv): "compact only: no --formulation non-compact" for argv in IGNORED_BY_TERM[2:]},
 }
 
 
@@ -481,6 +514,10 @@ BAD_INPUT_MESSAGES = {
     *WEAVED_WITHOUT_WEAVE,
     # the step count overflowed into an OverflowError traceback
     *STEP_OVERFLOW,
+    # recorded in the header but ignored: the count was that of the compact
+    # original-basis cosine, after reading any --weave file (the missing file
+    # shows that none is read)
+    *IGNORED_BY_TERM,
 ])
 def test_bad_input_exits_without_table(tmp_path, argv):
     (tmp_path / "lattice.json").write_text('{"lattice": "2x2"}')
@@ -498,7 +535,8 @@ def test_bad_input_exits_without_table(tmp_path, argv):
     out = tmp_path / "table.csv"
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(out)])
-    assert exc.value.code not in (0, None)
+    # argparse exits 2 after its usage message; every other error is one prefixed line
+    assert exc.value.code == 2 or exc.value.code.startswith(f"u1rotor {argv[0]}: ")
     assert message in str(exc.value.code)
     assert not out.exists()
 
