@@ -315,6 +315,8 @@ def cmd_gatecount(args) -> int:
         raise ValueError(f"{term} gate counts are compact only: no --formulation non-compact")
     if args.order != 1 and term != "step":
         raise ValueError(f"--order {args.order} applies to --term step only")
+    if args.weave and axis == "np":
+        raise ValueError("a --weave file fits one n_p: no --weave with --axis np")
     n_q = _fixed(args.nq, "nq", axis, 2)
     n_p = _fixed(args.np, "np", axis, lattice.n_p if lattice else 3)
     fixed = lattice.n_p if lattice else None  # a lattice fixes n_p for every term

@@ -129,6 +129,8 @@ def electric_quadratic_form(lattice: LatticeSpec, weave: WeaveMatrix | None = No
         q[r, p] -= 1.0
     q = q[: lattice.n_p, : lattice.n_p]  # constrained rotor pinned to zero
     if weave is not None:
+        if weave.n_p != lattice.n_p:
+            raise ValueError(f"weave is {weave.n_p}x{weave.n_p} but lattice has n_p={lattice.n_p}")
         q = weave.w.T @ q @ weave.w
     return q
 
@@ -210,15 +212,18 @@ def diagonal_of_term(term, d: Digitization) -> np.ndarray:
             arg = np.add.outer(arg, c * b_grid(d, p))
         return (term.prefactor / d.g**2) * np.cos(arg)
 
-    if term.kind == "RR":
-        grids = [r_grid(d, p) for p in support]
-        scale = 0.5 * d.g**2 * term.coefficient
-    else:
-        grids = [b_grid(d, p) for p in support]
-        scale = 0.5 / d.g**2 * term.coefficient
-    if len(support) == 1:
-        return scale * grids[0] ** 2
-    return scale * np.multiply.outer(grids[0], grids[1])
+    rotor = term.kind == "RR"
+    grids = [(r_grid if rotor else b_grid)(d, p) for p in support]
+    scale = (0.5 * d.g**2 if rotor else 0.5 / d.g**2) * term.coefficient
+    return scale * (grids[0] ** 2 if len(support) == 1 else np.multiply.outer(grids[0], grids[1]))
+
+
+def local_form(term, d: Digitization) -> tuple:
+    """All a term's diagonal reads besides ``d.g`` and ``d.n_q``: equal forms, equal diagonals."""
+    grids = tuple(float(d.b_max[p]) for p in term.plaquettes)
+    if isinstance(term, CosineTerm):
+        return ("cos", tuple(c for _, c in term.support), term.prefactor, grids)
+    return (term.kind, term.coefficient, grids)
 
 
 def _register_sum(terms, d: Digitization) -> np.ndarray:

@@ -242,7 +242,4 @@ def embed_positions(support, n_q: int) -> list[int]:
     pins local series qubit ``b*n_q + m`` to register qubit
     ``support[b]*n_q + (n_q - 1 - m)``.
     """
-    positions = []
-    for p in support:
-        positions.extend(p * n_q + (n_q - 1 - m) for m in range(n_q))
-    return positions
+    return [p * n_q + (n_q - 1 - m) for p in support for m in range(n_q)]

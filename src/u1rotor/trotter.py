@@ -3,8 +3,9 @@
 One step evolves by exp(-i H dt) as the product of electric and magnetic
 factors that `SPLITTING` lists, each scaled by its share of -dt.  Both are
 diagonal after the per-plaquette Fourier rotation, so each is synthesized
-as a Walsh series (the Rz angles carry the -dt share).  Series of individual
-terms are merged over the full register before any truncation, so
+as a Walsh series (the Rz angles carry the -dt share).  Terms of one local
+form share one transform; their series are merged over the full register,
+each mask's contributions summed in term order, before any truncation, so
 coefficients that only clear the cutoff in the sum are never lost.
 
 Cutoff policies: "abs" uses the value as theta_min directly, "dt" scales it
@@ -27,10 +28,11 @@ from .hamiltonian import (
     diagonal_of_term,
     extreme_eigenpairs,
     fourier_conjugate,
+    local_form,
     operator_diagonals,
 )
 from .lattice import b_grid, digitize, embed_positions
-from .walsh import WalshSeries, embed, fwt, merge, threshold_truncate
+from .walsh import WalshSeries, embed, embed_copies, fwt, merge, threshold_truncate
 
 # Each order's diagonal factors as applied to the state: "E" electric, "B" magnetic
 SPLITTING = {1: "BE", 2: "EBE"}
@@ -86,16 +88,18 @@ def term_series(term, d, scale: float) -> WalshSeries:
 def hamiltonian_series(terms, d, scale: float) -> WalshSeries:
     """Merged full-register Walsh series of scale * sum(terms).
 
-    ``d`` is the digitization; the register spans all of its plaquettes.
+    ``d`` is the digitization; the register spans all of its plaquettes.  Each
+    `local_form` is transformed once and embedded at all its terms' supports.
     """
-    width = d.n_p * d.n_q
-    parts = [
-        embed(term_series(term, d, scale), embed_positions(term.plaquettes, d.n_q), width)
-        for term in terms
-    ]
-    if not parts:
-        return WalshSeries(width, {})
-    return merge(parts)
+    width, terms = d.n_p * d.n_q, list(terms)
+    forms, parts = {}, {}  # local form -> indices of its terms; index -> embedded series
+    for t, term in enumerate(terms):
+        forms.setdefault(local_form(term, d), []).append(t)
+    for group in forms.values():
+        local = term_series(terms[group[0]], d, scale)
+        supports = [embed_positions(terms[t].plaquettes, d.n_q) for t in group]
+        parts.update(zip(group, embed_copies(local, supports, width)))
+    return merge([parts[t] for t in range(len(terms))]) if parts else WalshSeries(width, {})
 
 
 def factor_series(model: HamiltonianModel, plan: TrotterPlan):

@@ -169,26 +169,48 @@ def sequency_order(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.where(nonzero.any(axis=1), msb, -1)
 
 
+def _relocated(words: np.ndarray, rows, shifts, moved: np.ndarray) -> None:
+    """OR local bit ``i`` of every mask into ``moved[rows[i]]`` at bit ``shifts[i]``."""
+    for i, (row, shift) in enumerate(zip(rows, shifts)):
+        moved[row] |= ((words[:, i // 64] >> (i % 64)) & 1) << shift
+
+
+def _check_positions(positions: list[int], n: int, width: int) -> None:
+    if len(positions) != n:
+        raise ValueError(f"need {n} positions for an n={n} series, got {len(positions)}")
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"position collision in {positions}")
+    for p in positions:
+        if not 0 <= p < width:
+            raise ValueError(f"position {p} outside target register of width {width}")
+
+
 def embed(series: WalshSeries, positions: list[int], width: int) -> WalshSeries:
     """Relocate a series onto a wider register.
 
     Bit ``i`` of every mask moves to qubit ``positions[i]``; coefficients are
     untouched.  Positions must be distinct and inside the target register.
     """
-    if len(positions) != series.n:
-        raise ValueError(
-            f"need {series.n} positions for an n={series.n} series, got {len(positions)}"
-        )
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"position collision in {positions}")
-    for p in positions:
-        if not 0 <= p < width:
-            raise ValueError(f"position {p} outside target register of width {width}")
+    _check_positions(positions, series.n, width)
     moved = np.zeros((len(series), _word_count(width)), dtype=np.uint64)
-    for i, p in enumerate(positions):
-        moved[:, p // 64] |= ((series.words[:, i // 64] >> (i % 64)) & 1) << (p % 64)
+    _relocated(series.words, [p // 64 for p in positions], [p % 64 for p in positions], moved.T)
     order = np.lexsort(moved.T)
     return WalshSeries._of(width, moved[order], series.coeffs[order])
+
+
+def embed_copies(series: WalshSeries, supports: list[list[int]], width: int) -> list[WalshSeries]:
+    """`embed` at each position list in ``supports``; two or more copies move in one pass."""
+    if len(supports) == 1:  # a lone copy moves faster by plain slicing
+        return [embed(series, supports[0], width)]
+    for positions in supports:
+        _check_positions(positions, series.n, width)
+    copies, positions = np.arange(len(supports)), np.array(supports, dtype=np.int64).T
+    moved = np.zeros((copies.size, _word_count(width), len(series)), dtype=np.uint64)
+    _relocated(series.words, [(copies, word) for word in positions // 64],
+               (positions % 64).astype(np.uint64)[..., None], moved)
+    order = np.lexsort(moved.transpose(1, 0, 2))  # each copy sorted on its own
+    moved = moved.transpose(0, 2, 1)[copies[:, None], order]
+    return [WalshSeries._of(width, w, c) for w, c in zip(moved, series.coeffs[order])]
 
 
 def merge(series_list) -> WalshSeries:

@@ -323,6 +323,34 @@ def test_gatecount_reads_the_weave_file_once(tmp_path, monkeypatch):
     assert len(rows) == 13
 
 
+def test_gatecount_electric_checks_the_weave_size(tmp_path):
+    # every term names a weave of the wrong size the same way, electric included
+    weave_file = tmp_path / "w5.json"
+    u.save_weave(u.weave_from_matrix(np.eye(5)), weave_file)
+    out = tmp_path / "a.csv"
+    for term in ("electric", "magnetic", "step"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gatecount", "--term", term, "--lattice", "2x2", "--nq", "2", "--basis",
+                  "weaved", "--weave", str(weave_file), "--out", str(out)])
+        assert exc.value.code == "u1rotor gatecount: weave is 5x5 but lattice has n_p=3"
+    assert not out.exists()
+
+
+def test_gatecount_rejects_a_weave_file_on_the_np_axis(tmp_path, monkeypatch):
+    # a weave file fits one plaquette count: the sweep is refused before any file is read
+    import u1rotor.cli as cli
+
+    reads = []
+    monkeypatch.setattr(cli, "load_weave", reads.append)
+    out = tmp_path / "a.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["gatecount", "--term", "maximal", "--axis", "np", "--np", "2:5", "--nq", "2",
+              "--basis", "weaved", "--weave", str(tmp_path / "w5.json"), "--out", str(out)])
+    assert exc.value.code == "u1rotor gatecount: a --weave file fits one n_p: no --weave with --axis np"
+    assert reads == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", [{"order": 3}, {"g": "abc"}, {"nq": "two"}])
 def test_config_values_checked_like_flags(tmp_path, entry):
     cfg = tmp_path / "cfg.json"

@@ -2,9 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import u1rotor as u
-from u1rotor.trotter import factor_series, product_scaling_study, truncated_factor_series
+from u1rotor.hamiltonian import local_form
+from u1rotor.trotter import (
+    factor_series,
+    product_scaling_study,
+    term_series,
+    truncated_factor_series,
+)
 
 
 def _model(n_q=2, g=0.5, formulation="compact"):
@@ -232,3 +239,86 @@ def test_step_circuit_synthesizes_each_factor_once(monkeypatch):
     monkeypatch.setattr(trotter, "exact_circuit", spy)
     u.step_circuit(_model(), u.TrotterPlan(2, 0.3, 1))
     assert len(calls) == 2
+
+
+def _per_term_series(terms, d, scale):
+    """Oracle: every term transformed, embedded and merged on its own, in term order."""
+    width = d.n_p * d.n_q
+    parts = [u.embed(term_series(term, d, scale), u.embed_positions(term.plaquettes, d.n_q), width)
+             for term in terms]
+    return u.merge(parts) if parts else u.WalshSeries(width, {})
+
+
+def _assert_same_bytes(got, want):
+    assert (got.n, got.words.shape, got.coeffs.shape) == (want.n, want.words.shape, want.coeffs.shape)
+    assert got.words.tobytes() == want.words.tobytes()
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def _pair_weave(n_p, a, b):
+    # a 3-4-5 rotation of plaquettes a and b: their cosine caps become pi/0.6 and pi/0.2
+    w = np.eye(n_p)
+    w[np.ix_([a, b], [a, b])] = [[0.6, 0.8], [0.8, -0.6]]
+    return u.weave_from_matrix(w)
+
+
+@st.composite
+def _series_case(draw):
+    n_x, n_y = draw(st.sampled_from([(2, 2), (2, 3)]))
+    n_p = n_x * n_y - 1
+    kind = draw(st.sampled_from(["original", "pair", "random"] + (["builtin"] if n_p == 3 else [])))
+    if kind == "pair":
+        weave = _pair_weave(n_p, *draw(st.lists(st.integers(0, n_p - 1), min_size=2,
+                                                max_size=2, unique=True)))
+    elif kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        weave = u.weave_from_matrix(np.linalg.qr(rng.standard_normal((n_p, n_p)))[0])
+    else:
+        weave = u.builtin_weave(n_p) if kind == "builtin" else None
+    n_q, g = draw(st.integers(1, 3)), draw(st.floats(0.2, 2.0))
+    formulation = draw(st.sampled_from(["compact", "non-compact"]))
+    d = u.digitize(n_p, n_q, g, formulation, "original" if weave is None else "weaved", weave)
+    model = u.build_model(u.LatticeSpec(n_x, n_y), d, weave)
+    terms = getattr(model, draw(st.sampled_from(["electric", "magnetic"])))
+    k = draw(st.integers(0, len(terms) - 1))
+    terms = draw(st.sampled_from([terms, terms[:0], terms[k : k + 1]]))  # all, none or one
+    scale = draw(st.floats(0.01, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return terms, d, scale
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_series_case())
+def test_hamiltonian_series_matches_the_per_term_oracle(case):
+    # one transform per local form gives the per-term series byte for byte
+    terms, d, scale = case
+    _assert_same_bytes(u.hamiltonian_series(terms, d, scale), _per_term_series(terms, d, scale))
+
+
+@pytest.mark.parametrize("n_x, n_q", [(8, 2), (5, 3)])
+def test_hamiltonian_series_matches_the_oracle_on_wide_registers(n_x, n_q):
+    # 8x8 at n_q = 2 has two mask words; at 5x5, n_q = 3, plaquette 21 holds qubits 63-65
+    lattice = u.LatticeSpec(n_x, n_x)
+    d = u.digitize(lattice.n_p, n_q, 0.9, "non-compact")
+    model = u.build_model(lattice, d)
+    for terms in (model.electric, model.magnetic):
+        assert len({local_form(term, d) for term in terms}) < len(terms)
+        _assert_same_bytes(u.hamiltonian_series(terms, d, -0.25),
+                           _per_term_series(terms, d, -0.25))
+
+
+def test_local_forms_tell_grids_apart():
+    # the three electric self-terms all have coefficient 4, each on its own grid
+    weave = _pair_weave(3, 1, 2)
+    d = u.digitize(3, 2, 2.0, "compact", "weaved", weave)
+    terms = u.build_model(u.LatticeSpec(2, 2), d, weave).electric
+    assert [t.coefficient for t in terms if t.i == t.j] == [4.0] * 3
+    assert len(set(d.b_max.tolist())) == 3
+    _assert_same_bytes(u.hamiltonian_series(terms, d, -0.5), _per_term_series(terms, d, -0.5))
+
+
+def test_local_forms_tell_cosines_apart():
+    # single-plaquette cosines on equal grids, told apart by prefactor or coefficient
+    d = u.digitize(3, 2, 0.5, "compact")
+    terms = [u.CosineTerm(((0, 1.0),)), u.CosineTerm(((1, 1.0),), prefactor=2.0),
+             u.CosineTerm(((2, 0.5),)), u.CosineTerm(((1, 1.0),))]
+    _assert_same_bytes(u.hamiltonian_series(terms, d, 0.3), _per_term_series(terms, d, 0.3))

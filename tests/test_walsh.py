@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import u1rotor as u
-from u1rotor.walsh import sequency_order
+from u1rotor.walsh import embed_copies, sequency_order
 
 from conftest import bf_coefficients, bf_walsh, random_series
 
@@ -160,6 +160,27 @@ def test_embed_matches_bitwise_reference(rng):
                     new |= 1 << positions[i]
             expected[new] = coeff
         assert u.embed(series, positions, width).items() == sorted(expected.items())
+
+
+def test_embed_copies_match_embed(rng):
+    # every copy is the series embed makes alone, sorted rows and all, past 64 qubits too
+    for _ in range(30):
+        n = int(rng.integers(1, 13))
+        width = int(rng.integers(n, 140))
+        series = random_series(rng, n, density=min(1.0, 200 / (1 << n)))
+        supports = [[int(p) for p in rng.choice(width, size=n, replace=False)]
+                    for _ in range(int(rng.integers(2, 6)))]
+        copies = embed_copies(series, supports, width)
+        assert len(copies) == len(supports)
+        for copy, positions in zip(copies, supports):
+            alone = u.embed(series, positions, width)
+            assert copy.words.shape == alone.words.shape
+            assert copy.words.tobytes() == alone.words.tobytes()
+            assert copy.coeffs.tobytes() == alone.coeffs.tobytes()
+    with pytest.raises(ValueError, match="collision"):
+        embed_copies(u.WalshSeries(2, {3: 1.0}), [[0, 1], [2, 2]], 3)
+    with pytest.raises(ValueError, match="outside"):
+        embed_copies(u.WalshSeries(2, {3: 1.0}), [[0, 1], [2, 3]], 3)
 
 
 @st.composite
