@@ -18,9 +18,10 @@ angle-free gates), plus ``width`` and a finite ``global_phase``.  Circuits are
 built whole, from columns (`Circuit.from_columns`) or from a list of `Gate`
 records (``Circuit(width, gates)``); `exact_circuit` writes the columns
 straight from the sequency walk.  `Gate` is a plain record, checked only when
-it enters a circuit: every constructor checks that the width and the kind
-and qubit columns hold integers, then validates the table with
-`table_error`.  Concatenation, shifting, reversal, `gate_count` and
+it enters a circuit: both constructors check that the width, kind and qubit
+columns hold integers, then validate the table with `table_error`.
+`Circuit.joined` concatenates valid circuits of one width and adds their
+phases left to right from 0.0.  Shifting, reversal, `gate_count` and
 `export_qasm` work on whole columns.  ``circuit.gates`` is a read-only
 `GateView`: its length costs O(1), its items are `Gate` values built on
 demand, and ``==`` compares columns with another view or gates with a list.
@@ -156,12 +157,13 @@ class Circuit:
         return (f"Circuit(width={self.width!r}, gates={self.gates!r}, "
                 f"global_phase={self.global_phase!r})")
 
-    def extend(self, other: "Circuit") -> None:
-        if other.width != self.width:
+    @classmethod
+    def joined(cls, width: int, parts: Sequence["Circuit"]) -> "Circuit":
+        if any(part.width != width for part in parts):
             raise ValueError("register width mismatch")
-        pairs = zip(self.columns(), other.columns())
-        self.kind, self.q0, self.q1, self.angle = map(np.concatenate, pairs)
-        self.global_phase += other.global_phase
+        out = cls(width, global_phase=sum((part.global_phase for part in parts), 0.0))
+        out.kind, out.q0, out.q1, out.angle = map(np.concatenate, zip(*map(cls.columns, [out, *parts])))
+        return out
 
     def shifted(self, offset: int, width: int) -> "Circuit":
         """Copy of this circuit acting on qubits offset..offset+width-1 of a wider register."""
@@ -183,6 +185,8 @@ def exp_walsh(mask: int, coeff: float, n: int) -> Circuit:
     """
     if not 0 < mask < (1 << n):
         raise ValueError(f"mask {mask} must be nonzero and fit in {n} qubits")
+    if not math.isfinite(coeff):
+        raise ValueError(f"non-finite coefficient {coeff}")
     return exact_circuit(WalshSeries._of(n, _words([mask], n), np.array([float(coeff)])))
 
 

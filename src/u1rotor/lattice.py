@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ class ResourceLimitError(RuntimeError):
     """A construction would exceed one of the qubit caps of `hamiltonian`."""
 
 
+def _is_integer(value) -> bool:
+    """Whether a count is a Python or numpy integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Periodic plaquette lattice; the last plaquette is constraint-eliminated."""
@@ -43,8 +49,9 @@ class LatticeSpec:
     n_y: int
 
     def __post_init__(self):
-        if self.n_x < 2 or self.n_y < 2:
-            raise ValueError(f"lattice must be at least 2x2, got {self.n_x}x{self.n_y}")
+        if not (_is_integer(self.n_x) and _is_integer(self.n_y)) or min(self.n_x, self.n_y) < 2:
+            raise ValueError(
+                f"lattice sizes must be integers of at least 2, got {self.n_x!r}x{self.n_y!r}")
 
     @property
     def n_p(self) -> int:
@@ -118,7 +125,7 @@ def load_weave(path) -> WeaveMatrix:
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"weave file {path} has no {key!r} entry")
     n_p = data["n_p"]
-    if not isinstance(n_p, int) or isinstance(n_p, bool):
+    if not _is_integer(n_p):
         raise ValueError(f"weave file {path}: n_p must be an integer, got {n_p!r}")
     rows = np.asarray(data["rows"], dtype=float)
     if rows.shape != (n_p, n_p):

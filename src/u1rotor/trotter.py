@@ -31,7 +31,7 @@ from .hamiltonian import (
     local_form,
     operator_diagonals,
 )
-from .lattice import b_grid, digitize, embed_positions
+from .lattice import _is_integer, b_grid, digitize, embed_positions
 from .walsh import WalshSeries, embed, embed_copies, fwt, merge, threshold_truncate
 
 # Each order's diagonal factors as applied to the state: "E" electric, "B" magnetic
@@ -72,8 +72,8 @@ class TrotterPlan:
             raise ValueError("only first and second order splittings are supported")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"step size must be positive and finite, got {self.dt}")
-        if self.steps < 0:
-            raise ValueError("step count must be non-negative")
+        if not _is_integer(self.steps) or self.steps < 0:
+            raise ValueError(f"step count must be a non-negative integer, got {self.steps!r}")
 
     @property
     def t(self) -> float:
@@ -128,16 +128,6 @@ def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
             threshold_truncate(series_b, plan.theta_b.resolve(plan.dt)))
 
 
-def _fourier_blocks(model: HamiltonianModel) -> Circuit:
-    """Per-plaquette Fourier circuit over the full register."""
-    n_q = model.digitization.n_q
-    block = qft_circuit(n_q)
-    out = Circuit(model.n_qubits)
-    for p in range(model.n_p):
-        out.extend(block.shifted(p * n_q, model.n_qubits))
-    return out
-
-
 def step_circuit(model: HamiltonianModel, plan: TrotterPlan) -> Circuit:
     """One Trotter step: diagonal factors synthesized, merged, truncated.
 
@@ -147,26 +137,20 @@ def step_circuit(model: HamiltonianModel, plan: TrotterPlan) -> Circuit:
     rotated back.
     """
     (kept_e, _), (kept_b, _) = truncated_factor_series(model, plan)
-    ft = _fourier_blocks(model)
-    electric = ft.dagger()
-    electric.extend(exact_circuit(kept_e))
-    electric.extend(ft)
-    factors = {"E": electric, "B": exact_circuit(kept_b)}
-    circ = Circuit(model.n_qubits)
-    for name in SPLITTING[plan.order]:
-        circ.extend(factors[name])
-    return circ
+    n, block = model.n_qubits, qft_circuit(model.digitization.n_q)
+    ft = Circuit.joined(n, [block.shifted(p * block.width, n) for p in range(model.n_p)])
+    factors = {"E": Circuit.joined(n, [ft.dagger(), exact_circuit(kept_e), ft]),
+               "B": exact_circuit(kept_b)}
+    return Circuit.joined(n, [factors[name] for name in SPLITTING[plan.order]])
 
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """First-order bound alpha*t*dt + c_e*theta_e*t + c_b*theta_b*t."""
+    """First-order bound alpha*t*dt + c_e*theta_e*t + c_b*theta_b*t at the resolved cutoffs."""
 
     alpha: float
     c_e: float
     c_b: float
-    theta_e: float
-    theta_b: float
     bound: float
 
 
@@ -194,11 +178,11 @@ def error_bound(model: HamiltonianModel, plan: TrotterPlan) -> ErrorBudget:
     c_b = dropped_b / plan.dt
     t = plan.t
     bound = alpha * t * plan.dt + c_e * theta_e * t + c_b * theta_b * t
-    return ErrorBudget(alpha, c_e, c_b, theta_e, theta_b, bound)
+    return ErrorBudget(alpha, c_e, c_b, bound)
 
 
 def product_scaling_study(n_q=2, np_max=8, g=0.1):
-    """CNOT counts and polynomial fits for exp(i * cos x ... cos x) products.
+    """Polynomial fits of CNOT counts for exp(i * cos x ... cos x) products.
 
     Fits CNOT(n_p) for n_p = 1..np_max to an exact interpolating polynomial
     sum b_k n_p^k per cutoff, and estimates the cutoff where each power turns
@@ -231,4 +215,4 @@ def product_scaling_study(n_q=2, np_max=8, g=0.1):
         on = [t for t, row in zip(thetas, fit) if abs(row[r]) > 0.5]
         fitted = max(on) * math.sqrt(2.0) if on else None
         transitions[r] = {"fitted": fitted, "predicted": 2.0 * a2**r}
-    return {"thetas": thetas, "counts": counts, "fit": fit, "a2": a2, "transitions": transitions}
+    return {"thetas": thetas, "fit": fit, "a2": a2, "transitions": transitions}

@@ -60,6 +60,8 @@ class WalshSeries:
         terms = terms or {}
         words = _words(terms, n)
         coeffs = np.array(list(terms.values()), dtype=float)
+        if not np.isfinite(coeffs).all():
+            raise ValueError("non-finite Walsh coefficient")
         order = np.lexsort(words.T)
         keep = np.abs(coeffs[order]) > PRUNE_TOL
         self.n, self.words, self.coeffs = n, words[order][keep], coeffs[order][keep]
@@ -101,6 +103,8 @@ def _fwht_inplace(a: np.ndarray) -> None:
 
 def _series_of_state_order(work: np.ndarray, n: int) -> WalshSeries:
     """Normalized transform of a state-ordered diagonal; overwrites ``work``."""
+    if not np.isfinite(work).all():
+        raise ValueError("non-finite diagonal sample")
     _fwht_inplace(work)
     work /= 1 << n
     keep = np.flatnonzero(np.abs(work) > PRUNE_TOL)

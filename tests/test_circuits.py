@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -275,6 +276,26 @@ def test_circuit_validation():
                  Gate("rz", (0,), float("inf")), Gate("rz", (0,), float("nan"))):
         with pytest.raises(ValueError):
             u.Circuit(2, [gate])
+
+
+def test_joined_concatenates_whole_tables():
+    a = u.Circuit(2, [Gate("h", (0,)), Gate("cx", (0, 1))], 0.1)
+    b = u.Circuit(2, [Gate("rz", (1,), 0.5)], 0.2)
+    c = u.Circuit(2, [Gate("swap", (0, 1)), Gate("cu1", (1, 0), 0.25)], 0.3)
+    joined = u.Circuit.joined(2, [a, b, c])
+    assert joined.gates == [*a.gates, *b.gates, *c.gates]
+    assert joined.gates == u.Circuit(2, [*a.gates, *b.gates, *c.gates]).gates
+    # left to right from 0.0: (0.1 + 0.2) + 0.3 differs from 0.1 + (0.2 + 0.3) in the last bit
+    assert joined.global_phase == (0.0 + 0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert [len(part.gates) for part in (a, b, c)] == [2, 1, 2]  # parts are left as they were
+    negative_zero = u.Circuit.joined(2, [u.Circuit(2, [Gate("h", (1,))], -0.0)])
+    assert math.copysign(1.0, negative_zero.global_phase) == 1.0
+    empty = u.Circuit.joined(3, [])
+    assert (empty.width, empty.gates, empty.global_phase) == (3, [], 0.0)
+    with pytest.raises(ValueError, match="width mismatch"):
+        u.Circuit.joined(2, [a, u.Circuit(3)])
+    with pytest.raises(ValueError, match="width mismatch"):
+        u.Circuit.joined(3, [a])
 
 
 # SHA-256 of export_qasm(step_circuit(...)) for fixed small models: byte drift in

@@ -15,6 +15,10 @@ def test_lattice_spec():
     assert len(list(lat.links())) == 12
     with pytest.raises(ValueError):
         u.LatticeSpec(1, 4)
+    for n_x, n_y in ((2.5, 2), (2, 3.0), (True, 3), ("2", 2)):
+        with pytest.raises(ValueError, match="integers of at least 2"):
+            u.LatticeSpec(n_x, n_y)
+    assert u.LatticeSpec(np.int64(2), np.uint8(3)).n_p == 5
 
 
 def test_every_link_joins_two_plaquettes():

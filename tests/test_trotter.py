@@ -47,7 +47,11 @@ def test_plan_validation():
             u.TrotterPlan(1, bad, 1)
     with pytest.raises(ValueError):
         u.TrotterPlan(1, 0.1, -1)
+    for bad in (1.5, 2.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="integer"):
+            u.TrotterPlan(1, 0.1, bad)
     assert u.TrotterPlan(1, 0.1, 0).t == 0.0
+    assert u.TrotterPlan(1, 0.5, np.int64(3)).t == 1.5
 
 
 def test_splitting_identity_order1():
@@ -199,15 +203,12 @@ def test_truncated_factors_keep_the_global_phase(kappa):
         assert trunc.coefficient(0) == series.coefficient(0) != 0.0
         assert {m for m, _ in trunc.items() if m} == {
             m for m, c in series.items() if m and abs(c) >= kappa / 2}
-    ft = u.Circuit(model.n_qubits)
-    for p in range(model.n_p):
-        ft.extend(u.qft_circuit(2).shifted(2 * p, model.n_qubits))
-    electric = u.Circuit(model.n_qubits)
-    for part in (ft.dagger(), u.truncated_circuit(full[0], kappa), ft):
-        electric.extend(part)
-    expected = u.Circuit(model.n_qubits)
-    for part in (electric, u.truncated_circuit(full[1], kappa), electric):
-        expected.extend(part)
+    n = model.n_qubits
+    ft = u.Circuit(n, [g for p in range(model.n_p) for g in u.qft_circuit(2).shifted(2 * p, n).gates])
+    trunc_e, trunc_b = (u.truncated_circuit(series, kappa) for series in full)
+    electric = u.Circuit(n, [*ft.dagger().gates, *trunc_e.gates, *ft.gates], trunc_e.global_phase)
+    expected = u.Circuit(n, [*electric.gates, *trunc_b.gates, *electric.gates],
+                         electric.global_phase + trunc_b.global_phase + electric.global_phase)
     step = u.step_circuit(model, plan)
     assert step.gates == expected.gates
     assert step.global_phase == expected.global_phase

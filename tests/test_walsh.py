@@ -67,6 +67,19 @@ def test_fwt_rejects_bad_length():
             u.fwt(bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_are_rejected(bad):
+    # NaN fails every `> PRUNE_TOL` test, so unchecked it would vanish from a series
+    with pytest.raises(ValueError, match="non-finite"):
+        u.fwt([bad, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        u.series_from_state_values(np.array([1.0, bad]), 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        u.WalshSeries(2, {1: bad, 2: 0.5})
+    with pytest.raises(ValueError, match="non-finite"):
+        u.exp_walsh(1, bad, 1)
+
+
 def test_inverse_fwt_examples():
     assert np.allclose(u.inverse_fwt(u.WalshSeries(3, {0: 1.3})), 1.3)
     vals = u.inverse_fwt(u.WalshSeries(2, {3: 1.0}))
