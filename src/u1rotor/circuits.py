@@ -7,7 +7,8 @@ exponentials share CNOTs: one linking CNOT (control msb-1) opens each
 msb group, transitions inside a group cost one CNOT per bit of the XOR of
 adjacent kept masks, and the group is unwound back to a clean register at
 the end.  A full series over n qubits then costs exactly 2^n - 1 Rz and
-2^n - 2 CNOT gates.
+2^n - 2 CNOT gates.  `sequency_sweep_counts` reads those counts off one
+sequency sort per series for a whole list of cutoffs, without building gates.
 
 The identity coefficient (mask 0) is a global phase; it is recorded on the
 circuit and never becomes a gate.
@@ -284,15 +285,46 @@ def simplify_cnots(circuit: Circuit) -> Circuit:
     return Circuit(circuit.width, gates, circuit.global_phase)
 
 
-def sequency_gate_counts(series: WalshSeries, theta_min: float = 0.0) -> dict[str, int]:
-    """Gate counts of `truncated_circuit` from its sequency walk, without building gates.
+def _bits(words: np.ndarray) -> int:
+    """Number of set bits in an array of mask words."""
+    return int(np.bitwise_count(words).sum())
 
-    One Rz per kept nonzero mask, one CNOT per set bit of ``load`` and ``unload``.
+
+def sequency_sweep_counts(series: WalshSeries, thetas) -> list[dict[str, int]]:
+    """Gate counts of `truncated_circuit` at every cutoff in ``thetas``, without building gates.
+
+    The series is truncated at the smallest cutoff and sorted once in
+    sequency order; each cutoff then keeps the sorted rows with
+    ``|a_j| >= theta / 2``.  One Rz per kept nonzero mask.  Each msb group
+    costs one CNOT per low bit of its first and of its last kept mask, to
+    load and unwind the target, and one per bit of each XOR between
+    neighbours inside it.
     """
-    kept, _ = threshold_truncate(series, theta_min)
-    msb, _, load, unload = _sequency_walk(kept)
-    cx = int(np.bitwise_count(load).sum()) + int(np.bitwise_count(unload).sum())
-    return {"rz": len(msb), "cx": cx}
+    thetas = list(thetas)
+    for theta in thetas:
+        if not 0 <= theta < math.inf:
+            raise ValueError(f"cutoff must be non-negative and finite, got {theta}")
+    if not thetas:
+        return []
+    kept, _ = threshold_truncate(series, min(thetas))
+    order, msb = sequency_order(kept.words)
+    order, msb = order[msb >= 0], msb[msb >= 0]  # mask 0 is the global phase
+    words, size = kept.words[order], np.abs(kept.coeffs[order])
+    counts = []
+    for theta in thetas:
+        keep = size >= theta / 2.0
+        w, m = words[keep], msb[keep]
+        opens, closes = np.diff(m, prepend=-1) != 0, np.diff(m, append=-1) != 0
+        # the bits of a first or last mask below its msb load or unwind the target
+        ends = _bits(w[opens]) + _bits(w[closes]) - 2 * int(opens.sum())
+        cx = ends + _bits((w[1:] ^ w[:-1])[~opens[1:]])
+        counts.append({"rz": len(m), "cx": int(cx)})
+    return counts
+
+
+def sequency_gate_counts(series: WalshSeries, theta_min: float = 0.0) -> dict[str, int]:
+    """Gate counts of `truncated_circuit` at one cutoff: `sequency_sweep_counts` of ``[theta_min]``."""
+    return sequency_sweep_counts(series, [theta_min])[0]
 
 
 def gate_count(circuit: Circuit) -> dict[str, int]:

@@ -26,6 +26,7 @@ with exit status 1, and no table is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .circuits import export_qasm, sequency_gate_counts
+from .circuits import export_qasm, sequency_sweep_counts
 from .hamiltonian import (
     CosineTerm,
     build_model,
@@ -57,11 +58,11 @@ from .trotter import (
     SPLITTING,
     ThetaPolicy,
     TrotterPlan,
+    factor_series,
     hamiltonian_series,
     product_scaling_study,
     step_circuit,
     term_series,
-    truncated_factor_series,
 )
 from .walsh import l1_norm
 
@@ -304,6 +305,15 @@ def _fixed(values, flag, axis, default):
     return values[0]
 
 
+def _t_per_rz(theta: float) -> float | None:
+    """T gates per Rz at a resolved cutoff, 1.15 log2(1/theta); None without a cutoff."""
+    if theta <= 0:
+        return None
+    # 1/theta overflows below about 5.6e-309; -log2(theta) stands in
+    inverse = 1.0 / theta
+    return 1.15 * (math.log2(inverse) if inverse < math.inf else -math.log2(theta))
+
+
 def cmd_gatecount(args) -> int:
     axis, term, lattice, dt = args.axis, args.term, args.lattice, args.dt
     basis, formulation = args.basis, args.formulation
@@ -326,25 +336,24 @@ def cmd_gatecount(args) -> int:
     values = {"np": args.np or list(range(2, 7)), "nq": args.nq or list(range(1, 9)),
               "g": list(map(float, args.g_grid)), "theta": args.theta_grid}[axis]
     weaves = {p: _resolve_weave(args, p, basis) for p in (values if axis == "np" else [n_p])}
-
-    def point(v):
-        """One table row: the sweep value, Rz and CNOT counts, and the T-per-Rz estimate."""
+    points = []  # (sweep value, (n_p, n_q, g), resolved cutoff) per row
+    for v in values:
         at = dict(np=n_p, nq=n_q, g=args.g, theta=theta.value) | {axis: v}
-        p, q, g = int(at["np"]), int(at["nq"]), float(at["g"])
-        weave, policy = weaves[p], ThetaPolicy(theta.mode, float(at["theta"]))
-        plan = TrotterPlan(args.order, dt, 1, policy, policy)  # checks dt for every term
-        theta_res = policy.resolve(dt)
-        t_per_rz = None
-        if theta_res > 0:  # 1/theta overflows below about 5.6e-309; -log2(theta) stands in
-            inverse = 1.0 / theta_res
-            t_per_rz = 1.15 * (math.log2(inverse) if inverse < math.inf else -math.log2(theta_res))
+        cutoff = ThetaPolicy(theta.mode, float(at["theta"])).resolve(dt)
+        points.append((v, (int(at["np"]), int(at["nq"]), float(at["g"])), cutoff))
+    plan = TrotterPlan(args.order, dt, 1)  # checks dt for every term
+
+    def counts(key):
+        """Rz and CNOT counts of one (n_p, n_q, g) at each of its rows' cutoffs, from one series."""
+        p, q, g = key
+        weave, cutoffs = weaves[p], [cutoff for _, k, cutoff in points if k == key]
         if term == "step":
             # the step applies each factor's kept series in SPLITTING order; its
             # Fourier blocks hold no Rz or CNOT
-            kept = truncated_factor_series(_model(lattice, q, g, formulation, basis, weave), plan)
-            factors = {name: sequency_gate_counts(series) for name, (series, _) in zip("EB", kept)}
-            counts = [factors[name] for name in SPLITTING[args.order]]
-            return v, sum(c["rz"] for c in counts), sum(c["cx"] for c in counts), t_per_rz
+            factors = factor_series(_model(lattice, q, g, formulation, basis, weave), plan)
+            swept = {name: sequency_sweep_counts(series, cutoffs) for name, series in zip("EB", factors)}
+            return [{kind: sum(swept[name][i][kind] for name in SPLITTING[args.order])
+                     for kind in ("rz", "cx")} for i in range(len(cutoffs))]
         if term == "cosine":
             series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, q, g, "compact"), dt)
         elif term == "electric":
@@ -355,10 +364,14 @@ def cmd_gatecount(args) -> int:
             d = digitize(p, q, g, formulation, basis, weave)
             magnetic = magnetic_terms(d, weave)
             series = hamiltonian_series(magnetic[-1:] if term == "maximal" else magnetic, d, -dt)
-        counts = sequency_gate_counts(series, theta_res)
-        return v, counts["rz"], counts["cx"], t_per_rz
+        return sequency_sweep_counts(series, cutoffs)
 
-    rows = _pmap(point, values, args.workers)
+    keys = list(dict.fromkeys(key for _, key, _ in points))
+    by_key = {key: iter(c) for key, c in zip(keys, _pmap(counts, keys, args.workers))}
+    rows = []
+    for v, key, cutoff in points:
+        c = next(by_key[key])
+        rows.append((v, c["rz"], c["cx"], _t_per_rz(cutoff)))
     config = dict(axis=axis, term=term, basis=basis, formulation=formulation,
                   nq=n_q, np=n_p, g=args.g, dt=dt, order=args.order, theta_min=theta.value,
                   theta_min_policy=theta.mode,
@@ -559,6 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parser `main` reads every argv with, built on first use and kept for the process
+_parser = functools.cache(build_parser)
+
+
 def _config_argv(path, args: argparse.Namespace) -> list[str]:
     """A JSON config as flag tokens: true sets a switch, null and false are skipped."""
     with open(path) as fh:
@@ -581,7 +598,7 @@ def _config_argv(path, args: argparse.Namespace) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, exact_circuit, qft_circuit, sequency_gate_counts
+from .circuits import Circuit, exact_circuit, qft_circuit, sequency_sweep_counts
 from .hamiltonian import (
     TERM_LIMIT_QUBITS,
     HamiltonianModel,
@@ -188,7 +188,9 @@ def product_scaling_study(n_q=2, np_max=8, g=0.1):
     sum b_k n_p^k per cutoff, and estimates the cutoff where each power turns
     on as the geometric midpoint between the last grid point without it and
     the first with it.  Predictions are 2 * A2^r with A2 the second largest
-    single-cosine coefficient magnitude.  The cutoffs are 2^-k for k = 0..36.
+    single-cosine coefficient magnitude.  The cutoffs are 2^-k for k = 0..36;
+    each product's series is sorted in sequency order once and counted at
+    all of them (`sequency_sweep_counts`).
     """
     _check_cap("product", n_q * np_max, "dense diagonal", TERM_LIMIT_QUBITS)
     d = digitize(1, n_q, g, "compact")
@@ -204,8 +206,7 @@ def product_scaling_study(n_q=2, np_max=8, g=0.1):
         width = n_p * n_q
         local = fwt(joint)
         series = embed(local, embed_positions(range(n_p), n_q), width)
-        for ti, theta in enumerate(thetas):
-            counts[ti, n_p - 1] = sequency_gate_counts(series, theta)["cx"]
+        counts[:, n_p - 1] = [c["cx"] for c in sequency_sweep_counts(series, thetas)]
 
     powers = np.arange(1, np_max + 1, dtype=float)[:, None] ** np.arange(np_max)[None, :]
     fit = np.linalg.solve(powers, counts.T.astype(float)).T  # rows: theta, cols: b_0..b_{np_max-1}

@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from .hamiltonian import TERM_LIMIT_QUBITS
+
 # Storage pruning threshold; far below any angle that survives truncation.
 PRUNE_TOL = 1e-15
 
@@ -189,13 +191,33 @@ def _check_positions(positions: list[int], n: int, width: int) -> None:
             raise ValueError(f"position {p} outside target register of width {width}")
 
 
+def _permuted(series: WalshSeries, positions: list[int]) -> WalshSeries:
+    """`embed` onto the series' own register: one transpose of the dense coefficient array.
+
+    Axis ``a`` of the ``(2,)*n`` view holds mask bit ``n - 1 - a``, so output
+    bit ``positions[i]`` reads input axis ``n - 1 - i``.  Values move without
+    rounding, and `flatnonzero` lists the rows in ascending mask order.
+    """
+    n = series.n
+    source = (n - 1 - np.argsort(positions))[::-1]  # input axis of each output axis
+    dense = np.zeros(1 << n)
+    dense[series.words[:, 0].astype(np.intp)] = series.coeffs
+    dense = dense.reshape((2,) * n).transpose(source).ravel()
+    rows = np.flatnonzero(dense)
+    return WalshSeries._of(n, rows.astype(np.uint64).reshape(-1, 1), dense[rows])
+
+
 def embed(series: WalshSeries, positions: list[int], width: int) -> WalshSeries:
     """Relocate a series onto a wider register.
 
     Bit ``i`` of every mask moves to qubit ``positions[i]``; coefficients are
     untouched.  Positions must be distinct and inside the target register.
+    A permutation of a register of at most `TERM_LIMIT_QUBITS` qubits moves
+    the dense coefficient array instead (`_permuted`).
     """
     _check_positions(positions, series.n, width)
+    if series.n == width <= TERM_LIMIT_QUBITS:
+        return _permuted(series, positions)
     moved = np.zeros((len(series), _word_count(width)), dtype=np.uint64)
     _relocated(series.words, [p // 64 for p in positions], [p % 64 for p in positions], moved.T)
     order = np.lexsort(moved.T)

@@ -148,6 +148,42 @@ def test_sequency_gate_counts_matches_circuit_path(rng):
 
 
 @st.composite
+def _swept_series(draw):
+    # masks of any size on registers up to 200 qubits, small masks too so that
+    # low msb groups hold several entries
+    n = draw(st.sampled_from([1, 5, 12, 63, 64, 65, 127, 128, 129, 200]))
+    mask = st.integers(0, (1 << n) - 1) | st.integers(0, min(255, (1 << n) - 1))
+    coeff = st.floats(1e-3, 1.0) | st.floats(-1.0, -1e-3)
+    series = u.WalshSeries(n, draw(st.dictionaries(mask, coeff, min_size=1, max_size=40)))
+    # cutoffs at 0, exactly at a stored 2|a_j|, or anywhere; the reversed copy
+    # makes every list unsorted and repeated
+    stored = [2.0 * abs(c) for c in series.coeffs.tolist()] or [0.0]
+    theta = st.just(0.0) | st.sampled_from(stored) | st.floats(0.0, 2.5)
+    thetas = draw(st.lists(theta, min_size=1, max_size=6))
+    return series, thetas + thetas[::-1]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_swept_series())
+def test_sweep_counts_match_the_truncated_circuits(case):
+    series, thetas = case
+    swept = u.sequency_sweep_counts(series, thetas)
+    assert len(swept) == len(thetas)
+    for theta, counts in zip(thetas, swept):
+        built = u.gate_count(u.truncated_circuit(series, theta))
+        assert counts == {"rz": built["rz"], "cx": built["cx"]}
+
+
+@pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), -float("inf")])
+def test_sweep_counts_reject_a_bad_cutoff_anywhere(bad):
+    series = u.WalshSeries(3, {5: 0.3, 6: -0.2})
+    assert u.sequency_sweep_counts(series, []) == []
+    for thetas in ([bad], [0.1, bad], [bad, 0.0, 0.2]):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            u.sequency_sweep_counts(series, thetas)
+
+
+@st.composite
 def _wide_embedding(draw):
     # increasing positions with at least one qubit below 64, one in [64, 128) and one above
     n = draw(st.integers(3, 8))

@@ -282,6 +282,24 @@ def test_config_value_read_as_flag_text(tmp_path):
     assert _read_csv(from_config)[1:] == _read_csv(from_flag)[1:]
 
 
+def test_parser_built_once_gives_the_same_tables(tmp_path):
+    # main keeps one parser; a --config run parses twice with it and leaves nothing behind
+    import u1rotor.cli as cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"term": "cosine", "nq": 3, "theta_grid": [0, 0.01, 0.1]}))
+    flags = ["--term", "cosine", "--nq", "3", "--theta-grid", "0,0.01,0.1"]
+    runs = [["--config", str(cfg)], flags, ["--config", str(cfg)], []]
+    texts = []
+    for i, extra in enumerate(runs):
+        out = tmp_path / f"{i}.csv"
+        main(["gatecount", *extra, "--out", str(out)])
+        texts.append(out.read_text().splitlines()[3:])
+    assert texts[0] == texts[1] == texts[2] != texts[3]
+    assert len(texts[3]) == 14  # the default magnetic sweep: header and 13 rows
+    assert cli._parser() is cli._parser()
+
+
 def test_config_workers_reach_the_sweep(tmp_path, monkeypatch):
     import u1rotor.cli as cli
 
@@ -321,6 +339,35 @@ def test_gatecount_reads_the_weave_file_once(tmp_path, monkeypatch):
     assert reads == [str(weave_file)]
     _, _, rows = _read_csv(tmp_path / "a.csv")
     assert len(rows) == 13
+
+
+@pytest.mark.parametrize("term, builder, argv", [
+    ("magnetic", "hamiltonian_series", ["--np", "3"]),
+    ("step", "factor_series", ["--lattice", "2x2", "--order", "2"]),
+])
+def test_gatecount_theta_sweep_builds_one_series(tmp_path, monkeypatch, term, builder, argv):
+    # the default 13-point theta grid is counted from one series (one pair for the step)
+    import u1rotor.cli as cli
+
+    builds = []
+    build = getattr(cli, builder)
+
+    def spy(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, builder, spy)
+    base = ["gatecount", "--axis", "theta", "--term", term, "--nq", "2", "--g", "0.7",
+            "--dt", "0.2", *argv, "--format", "json"]
+    out = tmp_path / "sweep.json"
+    main(base + ["--out", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+    assert len(builds) == 1 and len(rows) == 13
+    # each row is the count of a run at its cutoff alone
+    for row in rows:
+        alone = tmp_path / "alone.json"
+        main(base + ["--theta-grid", repr(row[0]), "--out", str(alone)])
+        assert json.loads(alone.read_text())["rows"] == [row]
 
 
 def test_gatecount_electric_checks_the_weave_size(tmp_path):

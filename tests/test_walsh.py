@@ -159,10 +159,11 @@ def test_embed():
 
 
 def test_embed_matches_bitwise_reference(rng):
-    # masks wider than one byte and registers wider than 64 qubits
-    for _ in range(30):
+    # masks wider than one byte, registers wider than 64 qubits, and the last
+    # ten cases permute the series' own register
+    for case in range(40):
         n = int(rng.integers(1, 21))
-        width = int(rng.integers(n, 130))
+        width = int(rng.integers(n, 130)) if case < 30 else n
         positions = [int(p) for p in rng.choice(width, size=n, replace=False)]
         series = random_series(rng, n, density=min(1.0, 300 / (1 << n)))
         expected = {}
