@@ -211,10 +211,14 @@ def _sequency_walk(series: WalshSeries):
     return msb, series.coeffs[order], load, unload
 
 
-def _set_bits(words: np.ndarray):
-    """(row, qubit) of every set bit of mask word rows, row by row with qubits ascending."""
-    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-    return np.nonzero(bits)
+def _set_bits(words: np.ndarray, width: int):
+    """(row, qubit) of every set bit of mask word rows, row by row with qubits ascending.
+
+    Only the low ``width`` bits of a row are unpacked and scanned; the masks
+    of a series over ``width`` qubits have no bit above them.
+    """
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, count=width, bitorder="little")
+    return np.divmod(np.flatnonzero(bits.view(bool)), width)  # unpacked bits are 0 or 1
 
 
 def exact_circuit(series: WalshSeries) -> Circuit:
@@ -227,8 +231,8 @@ def exact_circuit(series: WalshSeries) -> Circuit:
     single-entry series reduces to its mirrored `exp_walsh` form.
     """
     msb, coeffs, load, unload = _sequency_walk(series)
-    load_row, load_bit = _set_bits(load)
-    unload_row, unload_bit = _set_bits(unload)
+    load_row, load_bit = _set_bits(load, series.n)
+    unload_row, unload_bit = _set_bits(unload, series.n)
     # per mask: loading CNOTs (qubits ascending), the Rz (control -1), unloading CNOTs (descending)
     row = np.concatenate([load_row, np.arange(len(msb)), unload_row[::-1]])
     control = np.concatenate([load_bit, np.full(len(msb), -1), unload_bit[::-1]])

@@ -13,14 +13,19 @@ rounding.
 gate table at a time (index arithmetic per gate, no gate matrices, the
 recorded global phase included); they are the oracle that the fused path is
 tested against.  `read_qasm` parses a whole QASM text, as `export_qasm`
-writes it, into the table's columns at once: one qreg before any gate, and
-the last ``// global_phase:`` comment sets the phase.
+writes it, into the table's columns at once: after `str.splitlines` and
+`str.strip`, one regex substitution checks every gate line whole, and numpy
+reads the fields from the positions of their delimiters in the text's
+bytes, with no tuple or field string per gate line.  Qubit indices and
+the register width are ASCII digits, and an angle is a Python float
+literal; a gate line with anything else is an unsupported line.  One qreg
+comes before any gate, and the last ``// global_phase:`` comment sets the
+phase.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
 
 import numpy as np
 
@@ -146,38 +151,51 @@ def exact_evolution(model: HamiltonianModel, t: float) -> np.ndarray:
 
 
 _QASM_PHASE = re.compile(r"^//\s*global_phase:\s*(\S+)\s*$")
-_QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\];$")
-# one match per stripped line: a gate's (name, angle, q0, q1), or four empty groups;
-# [^\S\n] is \s without the newline, so no match runs into the next line
-_QASM_LINE = re.compile(
-    rf"^(?:({'|'.join(GATE_NAMES)})(?:\(([-+0-9.eE]+)\))?[^\S\n]+q\[(\d+)\](?:,q\[(\d+)\])?;|.*)$",
+_QASM_QREG = re.compile(r"^qreg\s+q\[([0-9]+)\];$")
+# a decimal number with the syntax Python's float() accepts, ASCII digits only
+_QASM_FLOAT = r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+# one whole stripped gate line with its newline; [^\S\n] is \s without the newline
+_QASM_GATE = re.compile(
+    rf"^(?:{'|'.join(GATE_NAMES)})(?:\({_QASM_FLOAT}\))?[^\S\n]+q\[[0-9]+\](?:,q\[[0-9]+\])?;\n",
     re.MULTILINE)
+# byte -> 1..5 for the field delimiters ( ) [ ] ; of a gate line, 0 for every other byte
+_DELIMITERS = b"()[];"
+_DELIMITER_CODE = bytes(_DELIMITERS.find(b) + 1 for b in range(256))
+_OPEN_ANGLE, _CLOSE_QUBIT, _END = (_DELIMITERS.index(c) + 1 for c in b"(];")
+# gate kind by the first two bytes of a gate line (a one-letter name fills its whole row)
+_KIND_OF = np.zeros((256, 256), np.uint8)
+for _kind, _name in enumerate(GATE_NAMES):
+    _KIND_OF[ord(_name[0]), ord(_name[1]) if len(_name) > 1 else slice(None)] = _kind
 
 
 def read_qasm(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset written by `circuits.export_qasm`.
 
-    One multiline `findall` over the stripped lines yields every gate line's
-    fields, cast as whole columns; the few other lines are read one by one.
-    The text declares one qreg, before any gate, and the last
-    ``// global_phase:`` comment, wherever it stands, sets the phase.
+    The lines are those of `str.splitlines`, stripped.  The gate lines are
+    checked and read as whole columns (see the module docstring); the few
+    other lines are read one by one.  The text declares one qreg, before any
+    gate, and the last ``// global_phase:`` comment, wherever it stands,
+    sets the phase.  Every error is a ValueError; one about a line quotes it.
     """
-    lines = list(map(str.strip, text.splitlines()))
-    rows = _QASM_LINE.findall("\n".join(lines)) if lines else []
-    names, angles, q0s, q1s = (list(map(itemgetter(i), rows)) for i in range(4))
-    gate = np.fromiter(map(bool, names), bool, len(names))
-    kind = np.fromiter(map(GATE_NAMES.index, filter(None, names)), np.uint8)
+    raw, gate = _marked_lines(text)
+    starts, ends = _lines(np.frombuffer(raw, np.uint8))
+
+    def line_text(i: int) -> str:
+        return raw[starts[i]:ends[i]].decode("utf-8", "surrogatepass")
+
     try:
-        q0, q1 = (_column(q, gate, -1, int, np.int64) for q in (q0s, q1s))
+        kind, q0, q1, angle = _gate_fields(raw, starts, ends, gate)
     except OverflowError as exc:
         raise ValueError(f"qubit index beyond 64 bits: {exc}") from exc
-    angle = _column(angles, gate, np.nan, float, np.float64)
     qreg, phase = None, 0.0  # (line, width) of the qreg declaration
     for i in np.flatnonzero(~gate).tolist():
-        line = lines[i]
+        line = line_text(i)
         m = _QASM_PHASE.match(line)
         if m:
-            phase = float(m.group(1))
+            try:
+                phase = float(m.group(1))
+            except ValueError as exc:
+                raise ValueError(f"{exc}: {line!r}") from None
         elif line and not line.startswith(("OPENQASM", "include", "//")):
             m = _QASM_QREG.match(line)
             if m is None:
@@ -189,19 +207,99 @@ def read_qasm(text: str) -> Circuit:
         raise ValueError("no qreg declaration found")
     line_of = np.flatnonzero(gate)
     if len(line_of) and line_of[0] < qreg[0]:
-        raise ValueError(f"gate before qreg declaration: {lines[line_of[0]]!r}")
+        raise ValueError(f"gate before qreg declaration: {line_text(line_of[0])!r}")
     error = table_error(qreg[1], kind, q0, q1, angle)
     if error is not None:
-        raise ValueError(f"{error[1]}: {lines[line_of[error[0]]]!r}")
+        raise ValueError(f"{error[1]}: {line_text(line_of[error[0]])!r}")
     return Circuit.from_columns(qreg[1], kind, q0, q1, angle, phase)
 
 
-def _column(texts, gate, blank, cast, dtype) -> np.ndarray:
-    """A field of the gate lines as a column: ``cast`` where present, ``blank`` where empty."""
-    present = np.fromiter(map(bool, texts), bool, len(texts))
-    out = np.full(present.size, blank, dtype)
-    out[present] = np.fromiter(map(cast, filter(None, texts)), dtype)
-    return out[gate]
+def _marked_lines(text: str) -> tuple[bytes, np.ndarray]:
+    """The stripped lines of a text as UTF-8, each ended by a newline, and which are gate lines.
+
+    The lines are those of `str.splitlines`.  One substitution checks every
+    gate line whole against the gate regex and marks it as " ", which no
+    stripped line can be.
+    """
+    body = "\n".join([*map(str.strip, text.splitlines()), ""])
+    marks = np.frombuffer(_QASM_GATE.sub(" \n", body).encode("utf-8", "surrogatepass"), np.uint8)
+    return body.encode("utf-8", "surrogatepass"), marks[_lines(marks)[0]] == ord(" ")
+
+
+def _lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) byte offsets of the lines of a buffer whose every line ends with a newline."""
+    ends = np.flatnonzero(buf == ord("\n"))
+    return np.concatenate(([0], ends + 1))[:len(ends)], ends
+
+
+def _gate_fields(raw: bytes, starts, ends, gate) -> tuple[np.ndarray, ...]:
+    """The (kind, q0, q1, angle) columns of the gate lines, which the gate regex has checked.
+
+    Each field lies between two delimiters.  A gate line's delimiters are
+    ``( ) [ ] ;``, ``( ) [ ] [ ] ;``, ``[ ] ;`` or ``[ ] [ ] ;``, so they are
+    found by their place before the line's ``;`` or after the previous one.
+    """
+    data = np.frombuffer(raw, np.uint8)
+    at, sym = _delimiters(raw, starts[~gate], ends[~gate])
+    end = np.flatnonzero(sym == _END)
+    line_start = starts[gate]
+    kind = _KIND_OF[data[line_start], data[line_start + 1]]
+    two = sym[end - 3] == _CLOSE_QUBIT  # "] [ ] ;" ends the line
+    q0_open = np.where(two, end - 4, end - 2)
+    q0 = _integers(raw, data, at[q0_open], at[q0_open + 1])
+    q1 = np.full(len(kind), -1, np.int64)
+    q1[two] = _integers(raw, data, at[end[two] - 2], at[end[two] - 1])
+    first = np.concatenate(([0], end + 1))[:len(end)]
+    angled = sym[first] == _OPEN_ANGLE
+    angle = np.full(len(kind), np.nan)
+    angle[angled] = _floats(data, at[first[angled]], at[first[angled] + 1])
+    return kind, q0, q1, angle
+
+
+def _delimiters(raw: bytes, skip_starts, skip_ends) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and codes of the field delimiters outside the byte spans [skip_start, skip_end)."""
+    code = np.frombuffer(raw.translate(_DELIMITER_CODE), np.uint8)
+    at = np.flatnonzero(code != 0)
+    at = at[~_in_spans(len(at), np.searchsorted(at, skip_starts), np.searchsorted(at, skip_ends))]
+    return at, code[at]
+
+
+def _in_spans(size: int, starts, stops) -> np.ndarray:
+    """Mask of ``size`` items, True inside the sorted, disjoint spans [start, stop)."""
+    runs = np.empty(2 * len(starts) + 1, np.int64)
+    runs[0::2] = np.append(starts, size) - np.insert(stops, 0, 0)
+    runs[1::2] = stops - starts
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs)
+
+
+def _integers(raw: bytes, data: np.ndarray, opens, closes) -> np.ndarray:
+    """The ASCII decimal integers between each opening and closing delimiter, as int64.
+
+    Up to 18 digits, digit k from the right adds ``d * 10**k``; a longer
+    run, which may not fit, goes through Python's int, and overflow raises
+    OverflowError.
+    """
+    digits = closes - opens - 1
+    value = data[closes - 1].astype(np.int64) - ord("0")
+    for k in range(1, min(int(digits.max(initial=0)), 18)):
+        live = np.flatnonzero(digits > k)
+        value[live] += (data[closes[live] - 1 - k].astype(np.int64) - ord("0")) * 10**k
+    for i in np.flatnonzero(digits > 18).tolist():
+        value[i] = int(raw[opens[i] + 1:closes[i]])
+    return value
+
+
+def _floats(data: np.ndarray, opens, closes) -> np.ndarray:
+    """The decimal numbers between each '(' and ')', read as Python's float() reads them.
+
+    The numbers are cut out of the text with their ')', which becomes the
+    space that separates them for `np.fromstring`.
+    """
+    if not len(opens):
+        return np.empty(0)
+    numbers = data[_in_spans(len(data), opens + 1, closes + 1)]
+    numbers[numbers == ord(")")] = ord(" ")
+    return np.fromstring(numbers.tobytes(), sep=" ")
 
 
 def load_qasm(path) -> Circuit:

@@ -366,3 +366,28 @@ def test_gate_table_rejects_unknown_kind():
     circ = u.Circuit.from_columns(2, [0, 1], [1, 0], [-1, 1], [0.25, nan], 0.5)
     assert circ.gates == [Gate("rz", (1,), 0.25), Gate("cx", (0, 1))]
     assert circ.gates[-1] == Gate("cx", (0, 1)) and len(circ.gates) == 2
+
+
+def _set_bits_by_bin(words, width):
+    """(row, qubit) pairs read off each row's mask with bin(), qubits ascending."""
+    rows, qubits = [], []
+    for r, row in enumerate(words.tolist()):
+        mask = sum(w << (64 * i) for i, w in enumerate(row))
+        found = [q for q, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+        assert all(q < width for q in found)
+        rows += [r] * len(found)
+        qubits += found
+    return rows, qubits
+
+
+@pytest.mark.parametrize("width", [1, 5, 63, 64, 65, 100, 127, 128, 129, 200, 255, 256])
+def test_set_bits_matches_bin(rng, width):
+    n_words = -(-width // 64)
+    # random masks below the width, plus rows with no bit, the top bit only, and bits 63, 64, 127
+    masks = [int(m) for m in rng.integers(0, 2, size=(40, width)) @ [1 << q for q in range(width)]]
+    masks += [0, 1 << (width - 1), 0, (1 << width) - 1]
+    masks += [sum(1 << q for q in {0, 63, 64, 127, width - 1} if q < width)]
+    words = np.array([[(m >> (64 * i)) & (2**64 - 1) for i in range(n_words)] for m in masks],
+                     dtype=np.uint64)
+    rows, qubits = u.circuits._set_bits(words, width)
+    assert (rows.tolist(), qubits.tolist()) == _set_bits_by_bin(words, width)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,3 +345,107 @@ def test_bad_gate_tables_rejected(text, build):
     if build is not None:
         with pytest.raises(ValueError):
             build()
+
+
+@pytest.mark.parametrize("line", [
+    "rz(1.2.3) q[0];",
+    "cu1(1e) q[0],q[1];",
+    "rz(--1) q[1];",
+    "// global_phase: abc",
+])
+def test_number_errors_name_their_line(line):
+    # the message quotes the stripped line, wherever it stands among 500 others
+    gates = "h q[0];\n" * 250
+    text = f"OPENQASM 2.0;\nqreg q[2];\n{gates} \t{line}  \n{gates}"
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        u.read_qasm(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    (_on_two_qubits("h q[١];"), "h q[١];"),  # Arabic-Indic 1
+    (_on_two_qubits("cx q[0],q[١];"), "cx q[0],q[١];"),
+    ("qreg q[٣];\n", "qreg q[٣];"),  # Arabic-Indic 3
+    ("qreg q[２];\n", "qreg q[２];"),  # fullwidth 2
+])
+def test_reader_takes_ascii_digits_only(text, line):
+    with pytest.raises(ValueError, match=re.escape(f"unsupported QASM line: {line!r}")):
+        u.read_qasm(text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.text(alphabet="-+0123456789.eE", min_size=1, max_size=12))
+def test_angle_reads_as_python_float(number):
+    # an angle is read exactly when float() takes it; any other number makes the line unsupported
+    line = f"rz({number}) q[0];"
+    text = f"qreg q[1];\n{line}\n"
+    try:
+        value = float(number)
+    except ValueError:
+        with pytest.raises(ValueError, match=re.escape(f"unsupported QASM line: {line!r}")):
+            u.read_qasm(text)
+        return
+    if np.isinf(value):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite angle: {line!r}")):
+            u.read_qasm(text)
+    else:
+        assert u.read_qasm(text).angle.view(np.int64)[0] == np.float64(value).view(np.int64)
+
+
+def test_long_qubit_indices():
+    # past 18 digits an index may not fit 64 bits; leading zeros still read
+    assert u.read_qasm(_on_two_qubits("cx q[0000000000000000000000001],q[00];")).gates == [
+        u.Gate("cx", (1, 0))]
+    largest = "h q[9223372036854775807];"
+    with pytest.raises(ValueError, match=re.escape(f"qubit outside the register: {largest!r}")):
+        u.read_qasm(_on_two_qubits(largest))
+    with pytest.raises(ValueError, match="qubit index beyond 64 bits"):
+        u.read_qasm(_on_two_qubits("h q[9223372036854775808];"))
+
+
+def test_reader_keeps_unicode_whitespace_and_line_breaks():
+    # only the digits are ASCII: the spacing and the line breaks str.splitlines knows still read
+    text = ("OPENQASM 2.0;\r\n\u3000qreg q[2];\u2028rz(0.5)\xa0q[1];\x0c\tcx\u2003q[0],q[1];\r"
+            "// global_phase: -0.25\x85h q[0];\x1e")
+    circ = u.read_qasm(text)
+    assert circ.width == 2 and circ.global_phase == -0.25
+    assert circ.gates == [u.Gate("rz", (1,), 0.5), u.Gate("cx", (0, 1)), u.Gate("h", (0,))]
+
+
+def _bits_of(circ):
+    # an absent angle is NaN of either sign (dagger negates it); a present one must match bitwise
+    angle = np.where(np.isnan(circ.angle), np.nan, circ.angle)
+    return (circ.width, circ.kind.tobytes(), circ.q0.tobytes(), circ.q1.tobytes(),
+            angle.view(np.int64).tobytes(), np.float64(circ.global_phase).view(np.int64))
+
+
+_EDGE_ANGLES = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                np.pi, -1e-300, 1e300, 123456789.0]
+
+
+@pytest.mark.parametrize("width", [65, 126, 2046])
+def test_qasm_round_trip_is_bit_exact(rng, width):
+    # gates ==, which compares angles with array_equal, would let -0.0 come back as 0.0
+    n = 600
+    finite = rng.integers(-2**63, 2**63 - 1, size=4 * n, dtype=np.int64).view(np.float64)
+    finite = finite[np.isfinite(finite)][:n]
+    angles = np.concatenate([_EDGE_ANGLES, finite])
+    kinds = rng.choice(list(u.circuits.GATE_NAMES), size=len(angles))
+    gates = []
+    for name, angle in zip(kinds.tolist(), angles.tolist()):
+        a, b = rng.choice(width, size=2, replace=False).tolist()
+        arity, angled = u.circuits.GATE_FORMS[name]
+        gates.append(u.Gate(name, (a, b)[:arity], angle if angled else None))
+    gates += [u.Gate("rz", (width - 1,), angle) for angle in _EDGE_ANGLES]
+    for phase in (-0.0, 5e-324, -1.7976931348623157e308):
+        circ = u.Circuit(width, gates, phase)
+        assert _bits_of(u.read_qasm(u.export_qasm(circ))) == _bits_of(circ)
+
+
+def test_step_qasm_round_trip_is_bit_exact():
+    # the second case of test_circuits.GOLDEN_STEP_QASM
+    lattice = u.LatticeSpec(2, 2)
+    model = u.build_model(lattice, u.digitize(lattice.n_p, 3, 0.8, "non-compact", "original"))
+    theta = u.ThetaPolicy("dt", 0.05)
+    step = u.step_circuit(model, u.TrotterPlan(2, 0.1, 1, theta, theta))
+    assert _bits_of(u.read_qasm(u.export_qasm(step))) == _bits_of(step)
