@@ -1,14 +1,13 @@
 """Compilation of Walsh series into gate circuits.
 
-A series entry with mask ``j`` exponentiates to an Rz(-2 a_j) on the qubit
-holding j's most significant bit, conjugated by CNOTs from the other set
-bits.  Whole series are placed in sequency order so that consecutive
-exponentials share CNOTs: one linking CNOT (control msb-1) opens each
-msb group, transitions inside a group cost one CNOT per bit of the XOR of
-adjacent kept masks, and the group is unwound back to a clean register at
-the end.  A full series over n qubits then costs exactly 2^n - 1 Rz and
-2^n - 2 CNOT gates.  `sequency_sweep_counts` reads those counts off one
-sequency sort per series for a whole list of cutoffs, without building gates.
+A series entry with mask ``j`` exponentiates to an Rz(-2 a_j) on its target,
+the qubit of j's most significant bit (msb), conjugated by CNOTs from the
+other set bits.  Series are placed in sequency order, so that neighbours
+share CNOTs.  The cost rule: one Rz per nonzero mask and, per msb group, one
+CNOT per bit below the msb of its first and of its last mask, which load and
+unwind the target, plus one per bit of each XOR between neighbours; a full
+n-qubit series costs 2^n - 1 Rz and 2^n - 2 CNOTs.  `exact_circuit` places,
+and `sequency_sweep_counts` popcounts, the CNOTs of one walk (`_sequency_walk`).
 
 The identity coefficient (mask 0) is a global phase; it is recorded on the
 circuit and never becomes a gate.
@@ -174,7 +173,8 @@ class Circuit:
 
     def dagger(self) -> "Circuit":
         kind, q0, q1, angle = (col[::-1] for col in self.columns())
-        return Circuit.from_columns(self.width, kind, q0, q1, -angle, -self.global_phase)
+        angle = np.where(np.isnan(angle), angle, -angle)  # a NaN marks an absent angle: keep it
+        return Circuit.from_columns(self.width, kind, q0, q1, angle, -self.global_phase)
 
 
 def exp_walsh(mask: int, coeff: float, n: int) -> Circuit:
@@ -191,24 +191,28 @@ def exp_walsh(mask: int, coeff: float, n: int) -> Circuit:
     return exact_circuit(WalshSeries._of(n, _words([mask], n), np.array([float(coeff)])))
 
 
-def _sequency_walk(series: WalshSeries):
-    """``(msb, coeffs, load, unload)`` per nonzero mask in sequency order.
-
-    ``load`` (mask words) holds the controls of the CNOTs onto the msb before
-    the mask's Rz: its XOR with the previous mask of its group, or with the
-    bare msb when it opens the group.  ``unload`` holds the controls undone
-    after a group's last mask, and zero elsewhere.
-    """
+def _sequency_rows(series: WalshSeries):
+    """``(words, msb, coeffs)`` of the nonzero masks in sequency order (mask 0 is the global phase)."""
     order, msb = sequency_order(series.words)
-    order, msb = order[msb >= 0], msb[msb >= 0]  # mask 0 is the global phase
-    words = series.words[order]
-    lead = np.zeros_like(words)
-    lead[np.arange(len(msb)), msb // 64] = 1 << (msb % 64).astype(words.dtype)  # bare msb
-    opens = np.diff(msb, prepend=-1) != 0  # first mask of its msb group
-    closes = np.roll(opens, -1)
-    load = words ^ np.where(opens[:, None], lead, np.roll(words, 1, axis=0))
-    unload = np.where(closes[:, None], words ^ lead, 0)
-    return msb, series.coeffs[order], load, unload
+    order, msb = order[msb >= 0], msb[msb >= 0]
+    return series.words[order], msb, series.coeffs[order]
+
+
+def _sequency_walk(words: np.ndarray, msb: np.ndarray):
+    """``(load, unload, closing)``: the CNOT controls of nonzero masks in sequency order.
+
+    Row ``i`` of ``load`` is mask ``i`` XOR the previous mask of its msb
+    group, or the mask itself when it opens the group; ``unload`` holds each
+    group's last mask, which sits at row ``closing`` of ``words``.  Every set
+    bit is one CNOT onto the msb, except the msb itself: the target, set in
+    each group's first load and in its unload.
+    """
+    opens = np.diff(msb, prepend=-1) != 0
+    closing = np.flatnonzero(np.diff(msb, append=-1))
+    load = words.copy()
+    load[1:] ^= words[:-1]
+    load[opens] = words[opens]
+    return load, words[closing], closing
 
 
 def _set_bits(words: np.ndarray, width: int):
@@ -224,20 +228,22 @@ def _set_bits(words: np.ndarray, width: int):
 def exact_circuit(series: WalshSeries) -> Circuit:
     """Sequency-ordered synthesis of a series; mask 0 becomes the global phase.
 
-    Each msb group opens with the CNOTs that load the first mask's parity
-    onto the target (one linking CNOT from msb-1 for a full series), places
-    one CNOT per XOR bit between adjacent masks, and unwinds the target at
-    the end.  A full n-qubit series costs 2^n - 1 Rz and 2^n - 2 CNOTs; a
-    single-entry series reduces to its mirrored `exp_walsh` form.
+    Places the `_sequency_walk` of the nonzero masks: per mask, one CNOT
+    onto its msb from each control in its load (qubits ascending), then its
+    Rz, and after a group's last mask one from each control in its unload
+    (descending).  The costs follow the module's rule; a single-entry series
+    reduces to its mirrored `exp_walsh` form.
     """
-    msb, coeffs, load, unload = _sequency_walk(series)
+    words, msb, coeffs = _sequency_rows(series)
+    load, unload, closing = _sequency_walk(words, msb)
     load_row, load_bit = _set_bits(load, series.n)
     unload_row, unload_bit = _set_bits(unload, series.n)
     # per mask: loading CNOTs (qubits ascending), the Rz (control -1), unloading CNOTs (descending)
-    row = np.concatenate([load_row, np.arange(len(msb)), unload_row[::-1]])
+    row = np.concatenate([load_row, np.arange(len(msb)), closing[unload_row[::-1]]])
     control = np.concatenate([load_bit, np.full(len(msb), -1), unload_bit[::-1]])
-    order = np.argsort(row, kind="stable")
-    row, control = row[order], control[order]
+    placed = control != msb[row]  # a set msb bit is the target
+    order = np.argsort(row[placed], kind="stable")
+    row, control = row[placed][order], control[placed][order]
     rz, target = control < 0, msb[row]
     return Circuit.from_columns(
         series.n, np.where(rz, RZ, CX), np.where(rz, target, control), np.where(rz, -1, target),
@@ -299,10 +305,9 @@ def sequency_sweep_counts(series: WalshSeries, thetas) -> list[dict[str, int]]:
 
     The series is truncated at the smallest cutoff and sorted once in
     sequency order; each cutoff then keeps the sorted rows with
-    ``|a_j| >= theta / 2``.  One Rz per kept nonzero mask.  Each msb group
-    costs one CNOT per low bit of its first and of its last kept mask, to
-    load and unwind the target, and one per bit of each XOR between
-    neighbours inside it.
+    ``|a_j| >= theta / 2`` and popcounts their `_sequency_walk`, the one
+    `exact_circuit` places: one Rz per kept row, one CNOT per set control
+    bit, less the two target bits of each msb group.
     """
     thetas = list(thetas)
     for theta in thetas:
@@ -310,19 +315,13 @@ def sequency_sweep_counts(series: WalshSeries, thetas) -> list[dict[str, int]]:
             raise ValueError(f"cutoff must be non-negative and finite, got {theta}")
     if not thetas:
         return []
-    kept, _ = threshold_truncate(series, min(thetas))
-    order, msb = sequency_order(kept.words)
-    order, msb = order[msb >= 0], msb[msb >= 0]  # mask 0 is the global phase
-    words, size = kept.words[order], np.abs(kept.coeffs[order])
+    words, msb, coeffs = _sequency_rows(threshold_truncate(series, min(thetas))[0])
+    size = np.abs(coeffs)
     counts = []
     for theta in thetas:
         keep = size >= theta / 2.0
-        w, m = words[keep], msb[keep]
-        opens, closes = np.diff(m, prepend=-1) != 0, np.diff(m, append=-1) != 0
-        # the bits of a first or last mask below its msb load or unwind the target
-        ends = _bits(w[opens]) + _bits(w[closes]) - 2 * int(opens.sum())
-        cx = ends + _bits((w[1:] ^ w[:-1])[~opens[1:]])
-        counts.append({"rz": len(m), "cx": int(cx)})
+        load, unload, _ = _sequency_walk(words[keep], msb[keep])
+        counts.append({"rz": len(load), "cx": _bits(load) + _bits(unload) - 2 * len(unload)})
     return counts
 
 

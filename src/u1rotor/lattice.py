@@ -178,8 +178,8 @@ class Digitization:
     basis: str  # "original" | "weaved"
 
     def __post_init__(self):
-        if self.n_q < 1:
-            raise ValueError("need at least one qubit per plaquette")
+        if not _is_integer(self.n_q) or self.n_q < 1:
+            raise ValueError(f"need an integer n_q of at least one qubit, got {self.n_q!r}")
         if self.formulation not in ("compact", "non-compact"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
         if self.basis not in ("original", "weaved"):
@@ -212,6 +212,8 @@ def digitize(
     weave: WeaveMatrix | None = None,
 ) -> Digitization:
     """Apply the half-width prescriptions to every independent plaquette."""
+    if not (_is_integer(n_p) and _is_integer(n_q)):
+        raise ValueError(f"n_p and n_q must be integers, got {n_p!r} and {n_q!r}")
     if (basis == "weaved") != (weave is not None):
         need = "requires a" if weave is None else "takes no"
         raise ValueError(f"{basis} basis {need} weave matrix")

@@ -68,6 +68,7 @@ def test_exact_gate_count_law(rng):
         counts = u.gate_count(u.exact_circuit(series))
         assert counts["rz"] == (1 << n) - 1
         assert counts["cx"] == (1 << n) - 2
+        assert _counts_by_loop(series, 0.0) == {"rz": (1 << n) - 1, "cx": (1 << n) - 2}
 
 
 def test_exact_single_entry_matches_exp_walsh(rng):
@@ -163,6 +164,27 @@ def _swept_series(draw):
     return series, thetas + thetas[::-1]
 
 
+def _gray_rank(mask):
+    # bit i of the rank is the parity of the mask's bits >= i
+    rank = 0
+    while mask:
+        rank, mask = rank ^ mask, mask >> 1
+    return rank
+
+
+def _counts_by_loop(series, theta):
+    """Rz and CNOT counts of the kept nonzero masks, walked one by one in Gray-rank order."""
+    masks = sorted((m for m, c in series.items() if m and abs(c) >= theta / 2.0), key=_gray_rank)
+    cx = 0
+    # the 0 before the first mask and after the last one stands for no group
+    for prev, mask in zip([0, *masks], [*masks, 0]):
+        if prev.bit_length() == mask.bit_length():  # neighbours inside one msb group
+            cx += bin(prev ^ mask).count("1")
+        else:  # prev is a group's last mask and mask the next one's first: their bits below the msb
+            cx += max(bin(prev).count("1") - 1, 0) + max(bin(mask).count("1") - 1, 0)
+    return {"rz": len(masks), "cx": cx}
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_swept_series())
 def test_sweep_counts_match_the_truncated_circuits(case):
@@ -172,6 +194,7 @@ def test_sweep_counts_match_the_truncated_circuits(case):
     for theta, counts in zip(thetas, swept):
         built = u.gate_count(u.truncated_circuit(series, theta))
         assert counts == {"rz": built["rz"], "cx": built["cx"]}
+        assert counts == _counts_by_loop(series, theta)
 
 
 @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), -float("inf")])
@@ -366,6 +389,17 @@ def test_gate_table_rejects_unknown_kind():
     circ = u.Circuit.from_columns(2, [0, 1], [1, 0], [-1, 1], [0.25, nan], 0.5)
     assert circ.gates == [Gate("rz", (1,), 0.25), Gate("cx", (0, 1))]
     assert circ.gates[-1] == Gate("cx", (0, 1)) and len(circ.gates) == 2
+
+
+def test_dagger_negates_present_angles_only():
+    ft = u.qft_circuit(3)
+    reversed_angle = ft.angle[::-1]
+    absent = np.isnan(reversed_angle)
+    inverse = ft.dagger()
+    assert absent.any() and np.array_equal(np.isnan(inverse.angle), absent)
+    assert inverse.angle[absent].tobytes() == reversed_angle[absent].tobytes()
+    assert inverse.angle[~absent].tobytes() == (-reversed_angle[~absent]).tobytes()
+    assert inverse.dagger().angle.tobytes() == ft.angle.tobytes()
 
 
 def _set_bits_by_bin(words, width):

@@ -186,6 +186,21 @@ def test_digitize_validation():
             u.Digitization(2, g, np.array([b]), "non-compact", "original")
 
 
+def test_digitization_takes_integer_counts_only():
+    # a bool, a float or a string is no qubit or plaquette count, even when it equals one
+    for bad in (2.0, True, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="integer"):
+            u.digitize(3, bad, 0.5, "compact")
+        with pytest.raises(ValueError, match="integer"):
+            u.digitize(bad, 2, 0.5, "compact")
+        with pytest.raises(ValueError, match="integer"):
+            u.Digitization(bad, 0.5, np.ones(3), "compact", "original")
+    for n_q in (0, -1, False):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            u.Digitization(n_q, 0.5, np.ones(3), "compact", "original")
+    assert u.digitize(np.int64(3), np.int32(2), 0.5, "compact").n_states == 4
+
+
 def test_embed_positions_layout():
     # block order preserved, bits reversed inside each block
     assert u.embed_positions([2, 0], 2) == [5, 4, 1, 0]

@@ -412,10 +412,9 @@ def test_reader_keeps_unicode_whitespace_and_line_breaks():
 
 
 def _bits_of(circ):
-    # an absent angle is NaN of either sign (dagger negates it); a present one must match bitwise
-    angle = np.where(np.isnan(circ.angle), np.nan, circ.angle)
+    # every angle bit for bit, the NaN that marks an absent angle included
     return (circ.width, circ.kind.tobytes(), circ.q0.tobytes(), circ.q1.tobytes(),
-            angle.view(np.int64).tobytes(), np.float64(circ.global_phase).view(np.int64))
+            circ.angle.tobytes(), np.float64(circ.global_phase).view(np.int64))
 
 
 _EDGE_ANGLES = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072009e-308,
