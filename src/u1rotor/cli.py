@@ -53,7 +53,7 @@ from .lattice import (
     digitize,
     load_weave,
 )
-from .simulator import loschmidt
+from .simulator import loschmidt_sweep
 from .trotter import (
     SPLITTING,
     ThetaPolicy,
@@ -448,15 +448,19 @@ def cmd_evolve(args) -> int:
         if abs(n * dt - t) > 1e-9 * abs(t):
             raise ValueError(f"--t {t:g} is not a whole number of steps of size {dt:g}")
 
-    def run(point):
-        g, dt, kappa = point
-        model = _model(lattice, args.nq, g, args.formulation, basis, weave)
-        policy = ThetaPolicy(mode, kappa)
-        plan = TrotterPlan(args.order, dt, steps[dt], policy, policy)
-        return loschmidt(model, plan)
+    policies = {kappa: ThetaPolicy(mode, kappa) for kappa in dict.fromkeys(map(float, kappas))}
+    models = {g: _model(lattice, args.nq, g, args.formulation, basis, weave)
+              for g in dict.fromkeys(map(float, gs))}
 
-    values = _pmap(run, points, args.workers)
-    rows = [(g, dt, kappa, mode, v) for (g, dt, kappa), v in zip(points, values)]
+    def sweep(key):
+        """Survival at every distinct cutoff of one (g, dt), from one factor series pair."""
+        g, dt = key
+        plans = [TrotterPlan(args.order, dt, steps[dt], p, p) for p in policies.values()]
+        return dict(zip(policies, loschmidt_sweep(models[g], plans)))
+
+    keys = list(dict.fromkeys((g, dt) for g, dt, _ in points))
+    survival = dict(zip(keys, _pmap(sweep, keys, args.workers)))
+    rows = [(g, dt, kappa, mode, survival[g, dt][kappa]) for g, dt, kappa in points]
     config = dict(lattice=f"{lattice.n_x}x{lattice.n_y}", nq=args.nq, basis=basis,
                   formulation=args.formulation, t=t, order=args.order, dt=dts, theta_min=kappas,
                   theta_min_policy=mode, g_grid=list(map(float, gs)), weave=args.weave)

@@ -255,14 +255,17 @@ def ft_matrix(n_q: int) -> np.ndarray:
     return np.exp(2j * np.pi / big_n * lm) / math.sqrt(big_n)
 
 
-def fourier_conjugate(diagonal: np.ndarray, states: np.ndarray) -> np.ndarray:
+def fourier_conjugate(diagonal: np.ndarray, states: np.ndarray,
+                      n_p: int | None = None) -> np.ndarray:
     """F diag(diagonal) F^dagger applied to ``states``.
 
-    ``diagonal`` is a register tensor of shape ``(N,)*n_p``; ``states`` ends
-    in the same axes, after any leading batch axes.  F^dagger is the
-    orthonormal `fftn` over those axes and F its inverse.
+    ``diagonal`` is a register tensor of shape ``(N,)*n_p``, or a stack of
+    them when ``n_p`` is given; ``states`` ends in the same ``n_p`` axes,
+    after any leading batch axes, which broadcast against the diagonal's.
+    F^dagger is the orthonormal `fftn` over the last ``n_p`` axes (all of the
+    diagonal's by default) and F its inverse.
     """
-    axes = tuple(range(-diagonal.ndim, 0))
+    axes = tuple(range(-(diagonal.ndim if n_p is None else n_p), 0))
     return np.fft.ifftn(
         diagonal * np.fft.fftn(states, axes=axes, norm="ortho"), axes=axes, norm="ortho"
     )

@@ -187,6 +187,11 @@ class Digitization:
         if not 0 < self.g < math.inf:
             raise ValueError(f"coupling must be positive and finite, got {self.g}")
         b = np.asarray(self.b_max, dtype=float)
+        if b.ndim != 1:
+            raise ValueError("b_max must be one-dimensional, one value per plaquette, "
+                             f"got shape {b.shape}")
+        if b.size == 0:
+            raise ValueError("b_max holds no plaquette")
         if not np.all((b > 0) & np.isfinite(b)):
             raise ValueError("b_max must be positive and finite")
         if self.formulation == "compact" and self.basis == "original":
@@ -214,6 +219,8 @@ def digitize(
     """Apply the half-width prescriptions to every independent plaquette."""
     if not (_is_integer(n_p) and _is_integer(n_q)):
         raise ValueError(f"n_p and n_q must be integers, got {n_p!r} and {n_q!r}")
+    if n_p < 1:
+        raise ValueError(f"need at least one plaquette, got n_p={n_p}")
     if (basis == "weaved") != (weave is not None):
         need = "requires a" if weave is None else "takes no"
         raise ValueError(f"{basis} basis {need} weave matrix")

@@ -7,7 +7,9 @@ electric factor is conjugated by per-plaquette FFTs over the state reshaped
 to one axis per plaquette.  The factors are applied in `trotter.SPLITTING`
 order, as the step circuit applies them.  Sequency-ordered synthesis
 realizes exactly these phases, so the result is the step circuit's, up to
-rounding.
+rounding.  `loschmidt_sweep` evolves a list of plans that differ only in
+their cutoffs from one ground state and one untruncated factor series pair,
+each plan one lane of a stacked state; `loschmidt` is its one-plan case.
 
 `apply` and `circuit_unitary` run circuits gate by gate, one row of the
 gate table at a time (index arithmetic per gate, no gate matrices, the
@@ -38,7 +40,7 @@ from .hamiltonian import (
     ft_matrix,
 )
 from .lattice import ResourceLimitError, r_grid
-from .trotter import SPLITTING, TrotterPlan, truncated_factor_series
+from .trotter import SPLITTING, TrotterPlan, factor_series, truncate_factors
 from .walsh import state_values
 
 
@@ -116,12 +118,31 @@ def loschmidt(model: HamiltonianModel, plan: TrotterPlan) -> float:
     gates: the magnetic factor multiplies the state by exp(i * b), the
     electric factor by F exp(i * e) F^dagger (`fourier_conjugate`, the
     operator dense Hamiltonians are built with), with b and e the state
-    values of `truncated_factor_series` and F the per-plaquette Fourier
-    transform F[l, m] = w^{lm} / sqrt(N).  Each step applies the factors
-    in `SPLITTING` order.  Mask-0 coefficients stay in the phases as the
-    circuit's global phase.  Applying `step_circuit` gate by gate with
-    `apply` is the reference.
+    values of the kept factor series (`trotter.truncate_factors`) and F the
+    per-plaquette Fourier transform F[l, m] = w^{lm} / sqrt(N).  Each step
+    applies the factors in `SPLITTING` order.  Mask-0 coefficients stay in
+    the phases as the circuit's global phase.  Applying `step_circuit` gate
+    by gate with `apply` is the reference.  This is the one-plan case of
+    `loschmidt_sweep`.
     """
+    return loschmidt_sweep(model, [plan])[0]
+
+
+def loschmidt_sweep(model: HamiltonianModel, plans) -> list[float]:
+    """`loschmidt` at each of a list of plans that differ only in their cutoffs.
+
+    The plans share order, dt and steps, so the electric ground state and
+    the untruncated `factor_series` are built once, and each plan truncates
+    that one pair (`trotter.truncate_factors`).  Every plan is one lane of
+    a stacked state, evolved at most 2**(TERM_LIMIT_QUBITS - n) lanes at a
+    time: a batch holds no more amplitudes than one state at the cap.
+    """
+    plans = list(plans)
+    if not plans:
+        raise ValueError("a sweep needs at least one plan")
+    order, dt, steps = plans[0].order, plans[0].dt, plans[0].steps
+    if any((plan.order, plan.dt, plan.steps) != (order, dt, steps) for plan in plans):
+        raise ValueError("the plans of a sweep must share order, dt and steps")
     n = model.n_qubits
     if n > TERM_LIMIT_QUBITS:
         raise ResourceLimitError(
@@ -129,18 +150,22 @@ def loschmidt(model: HamiltonianModel, plan: TrotterPlan) -> float:
             f"one state takes {16 << n} B"
         )
     psi0 = electric_ground_state(model)
-    if plan.steps == 0:
-        return 1.0
-    (kept_e, _), (kept_b, _) = truncated_factor_series(model, plan)
+    if steps == 0:
+        return [1.0] * len(plans)
+    factors = factor_series(model, plans[0])
     shape = (model.digitization.n_states,) * model.n_p
-    phase_e = np.exp(1j * state_values(kept_e)).reshape(shape)
-    phase_b = np.exp(1j * state_values(kept_b)).reshape(shape)
-    factors = {"E": lambda psi: fourier_conjugate(phase_e, psi), "B": lambda psi: phase_b * psi}
-    psi = psi0.reshape(shape)
-    for _ in range(plan.steps):
-        for name in SPLITTING[plan.order]:
-            psi = factors[name](psi)
-    return float(abs(np.vdot(psi0, psi.ravel())) ** 2)
+    lanes, survival = 1 << (TERM_LIMIT_QUBITS - n), []
+    for start in range(0, len(plans), lanes):
+        batch = [truncate_factors(factors, plan) for plan in plans[start:start + lanes]]
+        phase_e, phase_b = (  # one row per lane
+            np.exp(1j * np.stack([state_values(kept) for kept, _ in column])).reshape(-1, *shape)
+            for column in zip(*batch))
+        psi = psi0.reshape(shape)  # broadcast to every lane by the first factor
+        for _ in range(steps):
+            for name in SPLITTING[order]:
+                psi = fourier_conjugate(phase_e, psi, model.n_p) if name == "E" else phase_b * psi
+        survival += [float(abs(np.vdot(psi0, lane.ravel())) ** 2) for lane in psi]
+    return survival
 
 
 def exact_evolution(model: HamiltonianModel, t: float) -> np.ndarray:

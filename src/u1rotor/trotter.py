@@ -115,17 +115,24 @@ def factor_series(model: HamiltonianModel, plan: TrotterPlan):
     )
 
 
-def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
-    """((kept_e, dropped_e), (kept_b, dropped_b)) at the plan's resolved cutoffs.
+def truncate_factors(factors, plan: TrotterPlan):
+    """((kept_e, dropped_e), (kept_b, dropped_b)) of an (electric, magnetic) series pair.
 
-    This is the one truncation decision behind `step_circuit`, the step
-    gate counts of the CLI, the fused-phase evolution of
-    `simulator.loschmidt` and the drop counts of `error_bound`: each factor
-    is exactly exp(i * state_values(kept)), its mask-0 coefficient included.
+    This is the one truncation decision behind `step_circuit`, the
+    fused-phase evolution of `simulator.loschmidt_sweep` and the drop counts
+    of `error_bound` (`gatecount --term step` applies the same cutoff rule
+    to `factor_series` inside `sequency_sweep_counts`): each factor is cut
+    at the plan's resolved cutoff and is exactly exp(i * state_values(kept)),
+    its mask-0 coefficient included.
     """
-    series_e, series_b = factor_series(model, plan)
+    series_e, series_b = factors
     return (threshold_truncate(series_e, plan.theta_e.resolve(plan.dt)),
             threshold_truncate(series_b, plan.theta_b.resolve(plan.dt)))
+
+
+def truncated_factor_series(model: HamiltonianModel, plan: TrotterPlan):
+    """`truncate_factors` of the plan's `factor_series`."""
+    return truncate_factors(factor_series(model, plan), plan)
 
 
 def step_circuit(model: HamiltonianModel, plan: TrotterPlan) -> Circuit:

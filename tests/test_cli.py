@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -208,6 +209,27 @@ def test_workers_do_not_change_output(tmp_path):
     assert base.read_bytes() == threaded.read_bytes()
 
 
+# SHA-256 of evolve tables over 2 couplings, 3 step sizes (0.1 twice) and a repeated
+# cutoff: byte drift in the evolution, the sweep's sharing or the row order changes them
+GOLDEN_EVOLVE_TABLES = [
+    ((1, "json"), "775b412b2f2b6774fae31e0a08b7578fe2f1dfad9d2285598f466a998586607b"),
+    ((1, "csv"), "b61705f58fa750f3a3280e319e06e37520442f0bfc0e754b6e07776065780008"),
+    ((2, "json"), "cd4a2eac4ba8e367f86147768183500f9e2056cb6bd161f4e178b4b942420817"),
+    ((2, "csv"), "80023c0d216873382327fd56bbaa5ae8e29b84fb418ef15d701fd877c03aeef1"),
+]
+
+
+@pytest.mark.parametrize("case, digest", GOLDEN_EVOLVE_TABLES)
+def test_evolve_table_bytes_are_pinned(tmp_path, case, digest):
+    order, fmt = case
+    for workers in ("1", "2"):
+        out = tmp_path / f"evolve_{workers}.{fmt}"
+        main(["evolve", "--lattice", "2x2", "--nq", "2", "--g-grid", "0.5:2:2:log", "--t", "0.2",
+              "--order", str(order), "--dt-list", "0.2,0.1,0.05,0.1", "--theta-list", "0,0.5,0.5",
+              "--format", fmt, "--workers", workers, "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_evolve_weaved_2x3_error_budget(tmp_path):
     # five-plaquette weaved evolution with a user-supplied orthogonal matrix:
     # curves rise toward one with the coupling, and the run combining a large
@@ -367,6 +389,32 @@ def test_gatecount_theta_sweep_builds_one_series(tmp_path, monkeypatch, term, bu
     for row in rows:
         alone = tmp_path / "alone.json"
         main(base + ["--theta-grid", repr(row[0]), "--out", str(alone)])
+        assert json.loads(alone.read_text())["rows"] == [row]
+
+
+def test_evolve_builds_one_model_per_coupling_and_one_series_per_step(tmp_path, monkeypatch):
+    # 3 couplings x 3 step sizes (0.1 twice) x 3 cutoffs (0.5 twice): 27 rows from 3 models
+    # and 6 factor series pairs, each row the survival of a run at its point alone
+    import u1rotor.cli as cli
+    import u1rotor.simulator as simulator
+
+    calls = {"_model": [], "factor_series": []}
+    for owner, name in ((cli, "_model"), (simulator, "factor_series")):
+        def spy(*args, _build=getattr(owner, name), _seen=calls[name]):
+            _seen.append(args)
+            return _build(*args)
+        monkeypatch.setattr(owner, name, spy)
+    base = ["evolve", "--lattice", "2x2", "--nq", "1", "--t", "0.2", "--order", "2",
+            "--format", "json"]
+    out = tmp_path / "sweep.json"
+    main(base + ["--g-grid", "0.5:2:3:log", "--dt-list", "0.1,0.05,0.1",
+                 "--theta-list", "0,0.5,0.5", "--out", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+    assert (len(calls["_model"]), len(calls["factor_series"]), len(rows)) == (3, 6, 27)
+    for row in rows[::4]:
+        alone = tmp_path / "alone.json"
+        main(base + ["--g-grid", f"{row[0]!r}:{row[0]!r}:1:lin", "--dt-list", repr(row[1]),
+                     "--theta-list", repr(row[2]), "--out", str(alone)])
         assert json.loads(alone.read_text())["rows"] == [row]
 
 

@@ -199,6 +199,16 @@ def test_digitization_takes_integer_counts_only():
         with pytest.raises(ValueError, match="at least one qubit"):
             u.Digitization(n_q, 0.5, np.ones(3), "compact", "original")
     assert u.digitize(np.int64(3), np.int32(2), 0.5, "compact").n_states == 4
+    # b_max is one value per plaquette, at least one plaquette
+    for shape in ((1, 2), (3, 1), ()):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            u.Digitization(2, 0.5, np.ones(shape), "compact", "original")
+    with pytest.raises(ValueError, match="no plaquette"):
+        u.Digitization(2, 0.5, np.ones(0), "compact", "original")
+    for n_p in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="at least one plaquette"):
+            u.digitize(n_p, 2, 0.5, "compact")
+    assert u.digitize(1, 2, 0.5, "compact").n_p == 1
 
 
 def test_embed_positions_layout():

@@ -240,22 +240,48 @@ def _small_runs(draw):
     formulation = draw(st.sampled_from(["compact", "non-compact"]))
     g = draw(st.floats(0.2, 3.0))
     model = u.build_model(lat, u.digitize(lat.n_p, n_q, g, formulation, basis, weave), weave)
-    policy = u.ThetaPolicy(
-        draw(st.sampled_from(["abs", "dt"])),
-        draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
-    )
-    plan = u.TrotterPlan(
-        draw(st.sampled_from([1, 2])), draw(st.floats(0.01, 0.5)), draw(st.integers(0, 3)),
-        policy, policy,
-    )
-    return model, plan
+    policy = st.builds(u.ThetaPolicy, st.sampled_from(["abs", "dt"]),
+                       st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    order, dt, steps = (draw(st.sampled_from([1, 2])), draw(st.floats(0.01, 0.5)),
+                        draw(st.integers(0, 3)))
+    plans = [u.TrotterPlan(order, dt, steps, draw(policy), draw(policy))
+             for _ in range(draw(st.integers(1, 3)))]
+    return model, plans
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_small_runs())
 def test_loschmidt_matches_gate_level_oracle(run):
-    model, plan = run
-    assert abs(u.loschmidt(model, plan) - _gate_level_survival(model, plan)) <= 1e-12
+    # every lane of a cutoff sweep is the oracle's survival, and bit for bit the
+    # one-plan evolution: a batched FFT rounds each lane as an unbatched one does
+    model, plans = run
+    swept = u.loschmidt_sweep(model, plans)
+    assert len(swept) == len(plans)
+    for plan, value in zip(plans, swept):
+        assert abs(value - _gate_level_survival(model, plan)) <= 1e-12
+        assert value == u.loschmidt(model, plan)
+
+
+def test_loschmidt_sweep_rejects_bad_plan_lists():
+    model = _model(n_q=1)
+    with pytest.raises(ValueError, match="at least one plan"):
+        u.loschmidt_sweep(model, [])
+    base = u.TrotterPlan(1, 0.1, 2)
+    for other in (u.TrotterPlan(2, 0.1, 2), u.TrotterPlan(1, 0.2, 2), u.TrotterPlan(1, 0.1, 3)):
+        with pytest.raises(ValueError, match="share order, dt and steps"):
+            u.loschmidt_sweep(model, [base, other])
+
+
+def test_loschmidt_sweep_batches_lanes_under_the_state_cap(monkeypatch):
+    # a cap one qubit above the register holds two lanes: five plans take three batches
+    model = _model(n_q=2)  # 6 qubits
+    plans = [u.TrotterPlan(2, 0.1, 2, u.ThetaPolicy("abs", k), u.ThetaPolicy("abs", k / 2))
+             for k in (0.0, 0.03, 0.1, 0.3, 1.0)]
+    whole = u.loschmidt_sweep(model, plans)
+    monkeypatch.setattr(u.simulator, "TERM_LIMIT_QUBITS", 7)
+    assert u.loschmidt_sweep(model, plans) == whole
+    assert whole == [u.loschmidt(model, plan) for plan in plans]
+    assert len(set(whole)) == len(whole)
 
 
 def test_loschmidt_state_limit():
