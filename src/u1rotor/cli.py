@@ -85,6 +85,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError(f"expected start:stop:count[:log|lin], got {text!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid {text!r} has a non-finite endpoint")
     if count < 1:
         raise argparse.ArgumentTypeError(f"grid {text!r} has no points")
     mode = parts[3] if len(parts) == 4 else "log"

@@ -22,7 +22,10 @@ realizes the same F, which is what makes circuit evolution and dense
 evolution comparable.
 
 Extreme eigenpairs need no dense matrix: `extreme_eigenpairs` is a Lanczos
-iteration on any matrix-free Hermitian product.  `ground_state` (so
+iteration on any matrix-free Hermitian product.  It diagonalizes the Lanczos
+tridiagonal only every eighth step and where a breakdown, the last step or a
+non-finite residual may stop it; a test that fires replays the skipped steps'
+tests in order, so it stops where a test at every step would.  `ground_state` (so
 `plaquette_expectation`) runs it on H psi = `fourier_conjugate(e, psi) + b psi`
 from `operator_diagonals`, and `trotter.error_bound` on i[H_E, H_B].  Dense
 matrices remain for full spectra, exact evolution and test oracles.
@@ -49,6 +52,7 @@ from .lattice import (
     LatticeSpec,
     ResourceLimitError,
     WeaveMatrix,
+    _is_integer,
     b_grid,
     identity_weave,
     r_grid,
@@ -59,6 +63,7 @@ TERM_LIMIT_QUBITS = 22  # per-term and full-register diagonals
 LANCZOS_TOL = 1e-13  # Ritz residual bound over the largest Ritz magnitude
 
 _COUPLING_TOL = 1e-12
+_TEST_STRIDE = 8  # Lanczos steps of a block between unprompted Ritz tests
 
 
 @dataclass(frozen=True)
@@ -374,38 +379,77 @@ def extreme_eigenpairs(apply, dim: int):
     ``default_rng(0)`` start vector.  A breakdown (an invariant subspace before
     ``dim`` steps) starts a new block from the next random vector, orthogonalized
     against the basis; the tridiagonal matrix then splits into blocks.  The current
-    block stops when the Ritz residual bound ``beta |s_last|`` of both its extreme
-    pairs is within `LANCZOS_TOL` of the largest Ritz magnitude seen, which is
-    never above the spectral radius.  Unconverged at ``dim`` steps, or on a
-    non-finite residual, it raises `numpy.linalg.LinAlgError`.
+    block stops at the first step where the Ritz residual bound ``beta |s_last|`` of
+    both its extreme pairs is within `LANCZOS_TOL` of the largest Ritz magnitude
+    seen, which is never above the spectral radius.  Unconverged at ``dim`` steps,
+    or on a non-finite residual, it raises `numpy.linalg.LinAlgError`; a ``dim``
+    that is not a positive integer raises `ValueError`.
+
+    The block's tridiagonal is diagonalized only at every eighth step of a block
+    and where a breakdown, the last step or a non-finite ``beta`` may stop it
+    (``beta`` within `LANCZOS_TOL` of twice the block's Gershgorin bound, which no
+    Ritz value exceeds).  Within a block the extreme Ritz values only move outward
+    (Cauchy interlacing), so the largest magnitude at a test is the running
+    maximum, and a converged extreme pair stays converged unless a more extreme
+    Ritz value appears.  When a test fires, the steps since the previous test are
+    tested in order and the first that fires acts, so the stop step, breakdowns and
+    result are those of a test at every step.
     """
+    if not _is_integer(dim) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+
     def orthogonalize(w, k):  # against basis[:k + 1]; conjugating w, not the basis, copies no basis
         for _ in range(2):
             w = w - basis[: k + 1].T @ (basis[: k + 1] @ w.conj()).conj()
         return w
 
+    def test(k, scale):
+        """The running Ritz magnitude after step ``k`` and what its test fires, if anything."""
+        theta, s = np.linalg.eigh(_tridiagonal(diag[start : k + 1], off[start:k]))
+        scale = max(scale, -theta[0], theta[-1])
+        if k + 1 < dim and off[k] <= LANCZOS_TOL * scale:
+            return scale, "restart"
+        if off[k] * np.abs(s[-1, [0, -1]]).max() <= LANCZOS_TOL * scale:
+            return scale, "stop"
+        if k + 1 == dim or not np.isfinite(off[k]):
+            return scale, "fail"
+        return scale, None
+
     rng = np.random.default_rng(0)
     basis = np.zeros((min(dim, 64), dim), dtype=complex)
     diag, off = np.zeros(dim), np.zeros(dim)
-    v, start, scale = rng.standard_normal(dim), 0, 0.0
-    for k in range(dim):
+    v, start, scale, tested, k = rng.standard_normal(dim), 0, 0.0, -1, -1
+    while True:
+        k += 1
         if k == len(basis):
             basis = np.concatenate([basis, np.zeros_like(basis)])[:dim]
         basis[k] = v / np.linalg.norm(v)
         w = apply(basis[k])
         diag[k] = np.vdot(basis[k], w).real
-        w = orthogonalize(w, k)
-        off[k] = np.linalg.norm(w)
-        theta, s = np.linalg.eigh(_tridiagonal(diag[start : k + 1], off[start:k]))
-        scale = max(scale, -theta[0], theta[-1])
-        if k + 1 < dim and off[k] <= LANCZOS_TOL * scale:
-            w = orthogonalize(rng.standard_normal(dim), k)
+        v = orthogonalize(w, k)
+        off[k] = np.linalg.norm(v)
+        if (k + 1 - start) % _TEST_STRIDE == 0:
+            probe, fired = test(k, scale)
+            if not fired:
+                scale, tested = probe, k
+                continue
+        else:
+            # doubled against eigh's rounding: the bound then covers every Ritz value
+            bound = 2 * (np.abs(diag[start : k + 1]).max() + 2 * off[start:k].max(initial=0.0))
+            if k + 1 < dim and np.isfinite(off[k]) and off[k] > LANCZOS_TOL * max(scale, bound):
+                continue
+        for j in range(tested + 1, k + 1):  # the steps since the last test, in order
+            scale, fired = test(j, scale)
+            if fired:
+                break
+        k = tested = j
+        if fired == "restart":
+            v = orthogonalize(rng.standard_normal(dim), k)
             off[k], start = 0.0, k + 1
-        elif off[k] * np.abs(s[-1, [0, -1]]).max() <= LANCZOS_TOL * scale:
+        elif fired == "stop":
             break
-        elif k + 1 == dim or not np.isfinite(off[k]):
+        elif fired == "fail":
             raise np.linalg.LinAlgError(f"Lanczos unconverged after {k + 1} steps")
-        v = w
     theta, s = np.linalg.eigh(_tridiagonal(diag[: k + 1], off[:k]))
     vectors = basis[: k + 1].T @ s[:, [0, -1]]
     vectors /= np.linalg.norm(vectors, axis=0)

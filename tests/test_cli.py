@@ -558,6 +558,9 @@ BAD_INPUT_MESSAGES = {
     ["l1", "--nq", "3:2"],
     ["spectrum", "--lattice", "2x2", "--nq", "3:2"],
     ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "0.5:1:0"],
+    # an infinite endpoint leaked a RuntimeWarning and then reported g=nan
+    ["plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", "1:inf:2:lin"],
+    ["plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", "nan:2:2:log"],
     # unreadable config and weave files used to end in a traceback
     ["l1", "--config", "{tmp}/missing.json"],
     ["l1", "--config", "{tmp}/malformed.json"],
@@ -662,6 +665,14 @@ def test_bad_input_exits_without_table(tmp_path, argv):
     assert exc.value.code == 2 or exc.value.code.startswith(f"u1rotor {argv[0]}: ")
     assert message in str(exc.value.code)
     assert not out.exists()
+
+
+
+@pytest.mark.parametrize("grid", ["1:inf:2:lin", "1:-inf:2:lin", "nan:2:2:log", "0.1:inf:3"])
+def test_non_finite_grid_endpoint_names_the_grid(capsys, grid):
+    with pytest.raises(SystemExit):
+        main(["plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid", grid])
+    assert f"--g-grid: grid {grid!r} has a non-finite endpoint" in capsys.readouterr().err
 
 
 def test_required_lattice_from_config(tmp_path):

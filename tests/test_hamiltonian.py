@@ -426,6 +426,94 @@ def test_lanczos_raises_unconverged():
         u.extreme_eigenpairs(lambda v: np.full_like(v, np.nan), 8)
 
 
+@pytest.mark.parametrize("dim", [0, -3, 2.0, True, "8", None])
+def test_lanczos_rejects_bad_dim(dim):
+    with pytest.raises(ValueError, match="positive integer"):
+        u.extreme_eigenpairs(lambda v: v, dim)
+
+
+def _per_step_lanczos(apply, dim: int):
+    """`extreme_eigenpairs` with its Ritz test at every step: the diagonalization it must match."""
+    from u1rotor.hamiltonian import LANCZOS_TOL, _tridiagonal
+
+    def orthogonalize(w, k):  # against basis[:k + 1]; conjugating w, not the basis, copies no basis
+        for _ in range(2):
+            w = w - basis[: k + 1].T @ (basis[: k + 1] @ w.conj()).conj()
+        return w
+
+    rng = np.random.default_rng(0)
+    basis = np.zeros((min(dim, 64), dim), dtype=complex)
+    diag, off = np.zeros(dim), np.zeros(dim)
+    v, start, scale = rng.standard_normal(dim), 0, 0.0
+    for k in range(dim):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.zeros_like(basis)])[:dim]
+        basis[k] = v / np.linalg.norm(v)
+        w = apply(basis[k])
+        diag[k] = np.vdot(basis[k], w).real
+        w = orthogonalize(w, k)
+        off[k] = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(_tridiagonal(diag[start : k + 1], off[start:k]))
+        scale = max(scale, -theta[0], theta[-1])
+        if k + 1 < dim and off[k] <= LANCZOS_TOL * scale:
+            w = orthogonalize(rng.standard_normal(dim), k)
+            off[k], start = 0.0, k + 1
+        elif off[k] * np.abs(s[-1, [0, -1]]).max() <= LANCZOS_TOL * scale:
+            break
+        elif k + 1 == dim or not np.isfinite(off[k]):
+            raise np.linalg.LinAlgError(f"Lanczos unconverged after {k + 1} steps")
+        v = w
+    theta, s = np.linalg.eigh(_tridiagonal(diag[: k + 1], off[:k]))
+    vectors = basis[: k + 1].T @ s[:, [0, -1]]
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return (float(theta[0]), vectors[:, 0]), (float(theta[-1]), vectors[:, 1])
+
+
+@st.composite
+def _hermitian_operator(draw):
+    """``(apply, dim)`` of a Hermitian operator up to dim 200, so that runs cross several tests."""
+    dim = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["random", "spread", "repeated", "nan"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "nan":
+        return (lambda v: np.full_like(v, np.nan)), dim
+    if kind == "repeated":
+        # few distinct entries: breakdowns, and a Krylov space that runs out
+        values = rng.integers(-4, 5, size=draw(st.integers(1, 6))) * draw(st.floats(1e-3, 1e3))
+        d = rng.choice(values, dim)
+        return (lambda v: d * v), dim
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if kind == "spread":
+        # cubed normal eigenvalues: isolated extremes that converge long before dim steps
+        q, _ = np.linalg.qr(a)
+        a = (q * rng.normal(size=dim) ** 3) @ q.conj().T
+    h = (a + a.conj().T) / 2
+    return (lambda v: h @ v), dim
+
+
+def _outcome(solver, apply, dim):
+    try:
+        return solver(apply, dim)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_hermitian_operator())
+@example(((lambda v: np.full_like(v, np.nan)), 17))
+@example(((lambda v: np.where(np.arange(v.size) % 3 == 0, 2.0, -1.0) * v), 150))
+def test_lanczos_matches_per_step_tests(case):
+    apply, dim = case
+    expected = _outcome(_per_step_lanczos, apply, dim)
+    got = _outcome(u.extreme_eigenpairs, apply, dim)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+        return
+    for (value, vector), (want, want_vector) in zip(got, expected):
+        assert value == want
+        assert np.array_equal(vector, want_vector)
+
+
 def test_plaquette_expectation_limits():
     strong = u.plaquette_expectation(_model(n_q=2, g=10.0))
     weak = u.plaquette_expectation(_model(n_q=2, g=0.01))
