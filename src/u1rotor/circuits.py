@@ -8,6 +8,10 @@ CNOT per bit below the msb of its first and of its last mask, which load and
 unwind the target, plus one per bit of each XOR between neighbours; a full
 n-qubit series costs 2^n - 1 Rz and 2^n - 2 CNOTs.  `exact_circuit` places,
 and `sequency_sweep_counts` popcounts, the CNOTs of one walk (`_sequency_walk`).
+Two-bit corollary: masks of at most two bits cost one Rz each and two CNOTs per
+two-bit mask.  An msb group h holds its pairs {h, l} in descending l and the single
+{h} last; the first load and a pair's unload cost one CNOT each, an XOR between
+pairs two, and the XOR onto the single one, which unloads none.
 
 The identity coefficient (mask 0) is a global phase; it is recorded on the
 circuit and never becomes a gate.
@@ -300,6 +304,15 @@ def _bits(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
+def _cutoffs(thetas) -> list:
+    """``thetas`` as a list, after checking that each is a non-negative finite cutoff."""
+    thetas = list(thetas)
+    for theta in thetas:
+        if not 0 <= theta < math.inf:
+            raise ValueError(f"cutoff must be non-negative and finite, got {theta}")
+    return thetas
+
+
 def sequency_sweep_counts(series: WalshSeries, thetas) -> list[dict[str, int]]:
     """Gate counts of `truncated_circuit` at every cutoff in ``thetas``, without building gates.
 
@@ -309,10 +322,7 @@ def sequency_sweep_counts(series: WalshSeries, thetas) -> list[dict[str, int]]:
     `exact_circuit` places: one Rz per kept row, one CNOT per set control
     bit, less the two target bits of each msb group.
     """
-    thetas = list(thetas)
-    for theta in thetas:
-        if not 0 <= theta < math.inf:
-            raise ValueError(f"cutoff must be non-negative and finite, got {theta}")
+    thetas = _cutoffs(thetas)
     if not thetas:
         return []
     words, msb, coeffs = _sequency_rows(threshold_truncate(series, min(thetas))[0])

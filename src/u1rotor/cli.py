@@ -40,7 +40,8 @@ from .hamiltonian import (
     CosineTerm,
     build_model,
     dense_matrix,
-    electric_terms,
+    electric_quadratic_form,
+    magnetic_quadratic_form,
     magnetic_terms,
     noncompact_spectrum_oracle,
     plaquette_expectation,
@@ -61,6 +62,7 @@ from .trotter import (
     factor_series,
     hamiltonian_series,
     product_scaling_study,
+    quadratic_sweep_counts,
     step_circuit,
     term_series,
 )
@@ -346,27 +348,32 @@ def cmd_gatecount(args) -> int:
     plan = TrotterPlan(args.order, dt, 1)  # checks dt for every term
 
     def counts(key):
-        """Rz and CNOT counts of one (n_p, n_q, g) at each of its rows' cutoffs, from one series."""
+        """Rz and CNOT counts of one (n_p, n_q, g) at each of its rows' cutoffs."""
         p, q, g = key
         weave, cutoffs = weaves[p], [cutoff for _, k, cutoff in points if k == key]
-        if term == "step":
-            # the step applies each factor's kept series in SPLITTING order; its
-            # Fourier blocks hold no Rz or CNOT
-            factors = factor_series(_model(lattice, q, g, formulation, basis, weave), plan)
-            swept = {name: sequency_sweep_counts(series, cutoffs) for name, series in zip("EB", factors)}
-            return [{kind: sum(swept[name][i][kind] for name in SPLITTING[args.order])
-                     for kind in ("rz", "cx")} for i in range(len(cutoffs))]
         if term == "cosine":
             series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, q, g, "compact"), dt)
-        elif term == "electric":
-            series = hamiltonian_series(electric_terms(lattice, weave),
-                                        digitize(p, q, g, formulation, basis, weave), -dt)
-        else:
-            # magnetic terms only need the plaquette count, not the geometry
-            d = digitize(p, q, g, formulation, basis, weave)
+            return sequency_sweep_counts(series, cutoffs)
+        d = digitize(p, q, g, formulation, basis, weave)
+        if formulation == "compact" and term in ("magnetic", "maximal"):
             magnetic = magnetic_terms(d, weave)
             series = hamiltonian_series(magnetic[-1:] if term == "maximal" else magnetic, d, -dt)
-        return sequency_sweep_counts(series, cutoffs)
+            return sequency_sweep_counts(series, cutoffs)
+        # a step applies each factor, with its share of -dt, once per letter of its
+        # splitting; its Fourier blocks hold no Rz or CNOT
+        names = {"electric": "E", "magnetic": "B", "step": SPLITTING[args.order]}[term]
+        if formulation == "compact" and term == "step":
+            factors = factor_series(build_model(lattice, d, weave), plan)
+            swept = {name: sequency_sweep_counts(series, cutoffs)
+                     for name, series in zip("EB", factors)}
+        else:  # electric and non-compact magnetic factors, from their forms at any width
+            forms = {"E": lambda: electric_quadratic_form(lattice, weave),
+                     "B": lambda: magnetic_quadratic_form(p, weave)}
+            swept = {name: quadratic_sweep_counts(forms[name](), d, "RR" if name == "E" else "BB",
+                                                  -dt / names.count(name), cutoffs)
+                     for name in set(names)}
+        return [{kind: sum(swept[name][i][kind] for name in names) for kind in ("rz", "cx")}
+                for i in range(len(cutoffs))]
 
     keys = list(dict.fromkeys(key for _, key, _ in points))
     by_key = {key: iter(c) for key, c in zip(keys, _pmap(counts, keys, args.workers))}
@@ -536,7 +543,8 @@ _COMMANDS = {
     "plaquette": (cmd_plaquette, "plaquette expectation across couplings", dict(
         lattice=_REQUIRED, nq=3, g_grid="0.01:10:20:log", weave=None, scan_bmax=False,
         format="csv", out=None, workers=1, config=None)),
-    "gatecount": (cmd_gatecount, "gate counts along a sweep axis", dict(
+    "gatecount": (cmd_gatecount, "gate counts along a sweep axis (electric and "
+                  "non-compact counts have no qubit cap)", dict(
         axis="theta", term="magnetic", lattice=None, nqs=None, nps=None, g=0.1,
         g_grid="0.1:10:15:log", theta_grid=[2.0**-k for k in range(13)],
         formulation="compact", basis="original", weave=None, dt=1.0, order=1, theta_min=0.0,

@@ -194,6 +194,12 @@ class Digitization:
             raise ValueError("b_max holds no plaquette")
         if not np.all((b > 0) & np.isfinite(b)):
             raise ValueError("b_max must be positive and finite")
+        # term weights and grids scale by g^2, 1/g^2 and both grid spacings
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            g2 = np.float64(self.g) ** 2
+            scales = np.concatenate([[g2, 1 / g2], math.pi / b, np.ldexp(b, 1 - self.n_q)])
+        if not np.all((scales > 0) & (scales < math.inf)):
+            raise ValueError(f"coupling g={self.g} gives a zero or infinite g^2, 1/g^2 or spacing")
         if self.formulation == "compact" and self.basis == "original":
             if np.any(b > math.pi + 1e-12):
                 raise ValueError("original compact grids cannot exceed pi")

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, exact_circuit, qft_circuit, sequency_sweep_counts
+from .circuits import Circuit, _cutoffs, exact_circuit, qft_circuit, sequency_sweep_counts
 from .hamiltonian import (
+    _COUPLING_TOL,
     TERM_LIMIT_QUBITS,
     HamiltonianModel,
     _check_cap,
@@ -32,7 +33,7 @@ from .hamiltonian import (
     operator_diagonals,
 )
 from .lattice import _is_integer, b_grid, digitize, embed_positions
-from .walsh import WalshSeries, embed, embed_copies, fwt, merge, threshold_truncate
+from .walsh import PRUNE_TOL, WalshSeries, embed, embed_copies, fwt, merge, threshold_truncate
 
 # Each order's diagonal factors as applied to the state: "E" electric, "B" magnetic
 SPLITTING = {1: "BE", 2: "EBE"}
@@ -100,6 +101,49 @@ def hamiltonian_series(terms, d, scale: float) -> WalshSeries:
         supports = [embed_positions(terms[t].plaquettes, d.n_q) for t in group]
         parts.update(zip(group, embed_copies(local, supports, width)))
     return merge([parts[t] for t in range(len(terms))]) if parts else WalshSeries(width, {})
+
+
+def quadratic_sweep_counts(q, d, kind: str, scale: float, thetas) -> list[dict[str, int]]:
+    """`sequency_sweep_counts` of the series of scale * `_bilinears(kind, q)`, in closed form.
+
+    On its evenly spaced grid (spacing s_p of `r_grid` for "RR", `b_grid` for "BB")
+    plaquette p's operator is ``-s_p/2 - (s_p/2) sum_k 2^k z_k``, bit k on qubit
+    ``p*n_q + k``.  With Q_pr = q_pr s_p s_r over the entries `_bilinears` keeps and
+    w the coupling weight (g^2/2 or 1/(2 g^2)) times ``scale``, bits k of p and l of
+    r (p < r, or p = r and k < l) have |a| = |w Q_pr 2^(k+l) / 2| and bit k of p
+    alone |a| = |w 2^k sum_r Q_pr / 2|, counted by the two-bit corollary of `circuits`.
+    Tie rule: a mask is kept when |a| >= theta / 2 and |a| > `PRUNE_TOL`; its |a|
+    differs from the transform's by rounding, so the counts differ from the series
+    path's only where theta / 2 lies within rounding of a coefficient.
+    """
+    if kind not in ("RR", "BB"):
+        raise ValueError(f"unknown bilinear kind {kind!r}")
+    if np.shape(q) != (d.n_p, d.n_p):
+        raise ValueError(f"quadratic form of shape {np.shape(q)} on {d.n_p} plaquettes")
+    thetas = _cutoffs(thetas)
+    s = math.pi / d.b_max if kind == "RR" else np.ldexp(d.b_max, 1 - d.n_q)
+    t = s / s.max()  # exactly 1 on a uniform grid, where integer rows of q sum exactly
+    w = abs(scale * (0.5 * d.g**2 if kind == "RR" else 0.5 / d.g**2)) * s.max() ** 2 / 2
+    upper = np.triu(q, 1)
+    upper[np.abs(upper) <= _COUPLING_TOL] = 0.0
+    upper *= t[:, None]
+    upper *= t
+    diag = np.where(np.abs(np.diag(q)) > _COUPLING_TOL, np.diag(q), 0.0) * t * t
+    rows = upper.sum(axis=1) + upper.sum(axis=0) + diag
+    k, l = np.indices((d.n_q, d.n_q)).reshape(2, -1)
+    power = np.ldexp(1.0, np.arange(2 * d.n_q - 1))  # 2^(k+l) of a bit pair, 2^k of one bit
+    per = [np.bincount(k + l), np.bincount((k + l)[k < l], minlength=power.size),
+           (np.arange(power.size) < d.n_q).astype(int)]
+    counts = [{"rz": 0, "cx": 0} for _ in thetas]
+    for v, per_power, cx in zip((upper[upper != 0], diag, rows), per, (2, 2, 0)):
+        values, n = np.unique(np.abs(v), return_counts=True)  # cross pairs, own pairs, bits
+        size, masks = w * np.outer(values, power), np.outer(n, per_power)
+        if not np.isfinite(size[masks > 0]).all():
+            raise ValueError("non-finite Walsh coefficient")
+        for c, theta in zip(counts, thetas):
+            kept = int(masks[(size >= theta / 2.0) & (size > PRUNE_TOL)].sum())
+            c["rz"], c["cx"] = c["rz"] + kept, c["cx"] + cx * kept
+    return counts
 
 
 def factor_series(model: HamiltonianModel, plan: TrotterPlan):

@@ -392,6 +392,42 @@ def test_gatecount_theta_sweep_builds_one_series(tmp_path, monkeypatch, term, bu
         assert json.loads(alone.read_text())["rows"] == [row]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--term", "electric", "--lattice", "2x2", "--basis", "weaved"],
+    ["--term", "electric", "--lattice", "3x3", "--formulation", "non-compact"],
+    ["--term", "magnetic", "--np", "3", "--formulation", "non-compact", "--basis", "weaved"],
+    ["--term", "step", "--lattice", "2x2", "--formulation", "non-compact", "--order", "2"],
+])
+def test_gatecount_counts_quadratic_factors_without_a_series(tmp_path, monkeypatch, argv):
+    # electric and non-compact factors are counted from their quadratic forms alone
+    import u1rotor.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("a quadratic factor's count built a model or a series")
+
+    for builder in ("build_model", "hamiltonian_series", "factor_series"):
+        monkeypatch.setattr(cli, builder, refuse)
+    out = tmp_path / "sweep.json"
+    main(["gatecount", "--axis", "theta", "--nq", "2", "--g", "0.7", "--dt", "0.2", *argv,
+          "--format", "json", "--out", str(out)])
+    assert len(json.loads(out.read_text())["rows"]) == 13
+
+
+def test_gatecount_counts_a_32x32_step(tmp_path):
+    # 2,046 qubits, above any series: q_b = I + J couples every bit pair, and the
+    # electric factor every bit pair of the 2,044 neighbour pairs, each plaquette's
+    # own pair, and the bits of the 4 neighbours of the eliminated plaquette
+    out = tmp_path / "step.json"
+    main(["gatecount", "--axis", "theta", "--term", "step", "--lattice", "32x32",
+          "--formulation", "non-compact", "--nq", "2", "--g", "1", "--order", "2",
+          "--theta-grid", "0", "--format", "json", "--out", str(out)])
+    n = 2046
+    electric = {"rz": 4 * 2044 + 1023 + 2 * 4, "cx": 2 * (4 * 2044 + 1023)}
+    magnetic = {"rz": n + n * (n - 1) // 2, "cx": n * (n - 1)}
+    row = json.loads(out.read_text())["rows"][0]
+    assert row[1:3] == [2 * electric["rz"] + magnetic["rz"], 2 * electric["cx"] + magnetic["cx"]]
+
+
 def test_evolve_builds_one_model_per_coupling_and_one_series_per_step(tmp_path, monkeypatch):
     # 3 couplings x 3 step sizes (0.1 twice) x 3 cutoffs (0.5 twice): 27 rows from 3 models
     # and 6 factor series pairs, each row the survival of a run at its point alone
@@ -666,6 +702,25 @@ def test_bad_input_exits_without_table(tmp_path, argv):
     assert message in str(exc.value.code)
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("argv, g", [
+    # g^2 underflowed to 0: a ZeroDivisionError in the magnetic weight
+    (["plaquette", "--lattice", "2x2", "--nq", "2", "--g-grid=1e-300:1e300:2:log"], "1e-300"),
+    # g^2 overflowed: an OverflowError in the magnetic weight
+    (["gatecount", "--term", "magnetic", "--np", "3", "--nq", "2", "--g", "1e200",
+      "--formulation", "non-compact"], "1e+200"),
+    # g^2 is finite but 1/g^2 is not
+    (["gatecount", "--term", "electric", "--lattice", "2x2", "--nq", "2", "--g", "1e-160"],
+     "1e-160"),
+])
+def test_extreme_coupling_exits_with_one_line_naming_g(tmp_path, argv, g):
+    out = tmp_path / "table.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    message = exc.value.code
+    assert message.startswith(f"u1rotor {argv[0]}: coupling g={g} ") and "\n" not in message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["1:inf:2:lin", "1:-inf:2:lin", "nan:2:2:log", "0.1:inf:3"])

@@ -2,13 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import u1rotor as u
 from u1rotor.hamiltonian import local_form
 from u1rotor.trotter import (
     factor_series,
     product_scaling_study,
+    quadratic_sweep_counts,
     term_series,
     truncated_factor_series,
 )
@@ -323,3 +324,118 @@ def test_local_forms_tell_cosines_apart():
     terms = [u.CosineTerm(((0, 1.0),)), u.CosineTerm(((1, 1.0),), prefactor=2.0),
              u.CosineTerm(((2, 0.5),)), u.CosineTerm(((1, 1.0),))]
     _assert_same_bytes(u.hamiltonian_series(terms, d, 0.3), _per_term_series(terms, d, 0.3))
+
+
+# Transform round-off of exact zeros reaches a few 1e-18 of the largest |a| and, at
+# n_q = 4, can sit above PRUNE_TOL: no mask is held to either path below this share.
+_ROUNDOFF = 16 * np.finfo(float).eps
+
+
+@st.composite
+def _quadratic_case(draw):
+    """An electric or non-compact magnetic factor from 2x2 to 8x8, both bases."""
+    lattice = u.LatticeSpec(draw(st.integers(2, 8)), draw(st.integers(2, 8)))
+    n_p = lattice.n_p
+    weaves = ["original", "pair", "random"] + (["builtin"] if n_p == 3 else [])
+    weave = draw(st.sampled_from(weaves))
+    if weave == "pair":
+        weave = _pair_weave(n_p, *draw(st.lists(st.integers(0, n_p - 1), min_size=2,
+                                                max_size=2, unique=True)))
+    elif weave == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        weave = u.weave_from_matrix(np.linalg.qr(rng.standard_normal((n_p, n_p)))[0])
+    else:
+        weave = u.builtin_weave(n_p) if weave == "builtin" else None
+    n_q = draw(st.integers(1, min(4, max(1, 96 // n_p))))
+    formulation = draw(st.sampled_from(["compact", "non-compact"]))
+    kind = draw(st.sampled_from(["RR", "BB"] if formulation == "non-compact" else ["RR"]))
+    g = draw(st.floats(0.1, 3.0))
+    d = u.digitize(n_p, n_q, g, formulation, "original" if weave is None else "weaved", weave)
+    scale = draw(st.floats(0.01, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return lattice, d, weave, kind, scale, draw(st.integers(0, 2**16))
+
+
+def _quadratic_series(lattice, d, weave, kind, scale):
+    """(q, the factor's `hamiltonian_series`) of the electric ("RR") or magnetic ("BB") form."""
+    model = u.build_model(lattice, d, weave)
+    if kind == "RR":
+        q, terms = u.electric_quadratic_form(lattice, weave), model.electric
+    else:
+        q, terms = u.magnetic_quadratic_form(d.n_p, weave), model.magnetic
+    return q, u.hamiltonian_series(terms, d, scale)
+
+
+def _bit_counts(series):
+    return sum(np.bitwise_count(word).astype(int) for word in series.words.T)
+
+
+def _cutoffs_near(series, seed):
+    """0, log-uniform cutoffs, and cutoffs 1e-9 either side of 2|a| for coefficients a."""
+    rng = np.random.default_rng(seed)
+    size = np.abs(series.coeffs[series.words.any(axis=1)])
+    near = 2 * rng.choice(size, 4) * (1 + rng.choice([-1e-9, 1e-9], 4))
+    return [0.0, *np.exp(rng.uniform(np.log(1e-6), np.log(4 * size.max()), 6)), *near]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_quadratic_case())
+@example((u.LatticeSpec(4, 4), u.digitize(15, 4, 1.645, "compact"), None, "RR", -0.5, 0))
+def test_quadratic_series_keep_two_bit_masks(case):
+    # every mask above round-off has one or two bits, so its sequency walk costs
+    # one Rz per kept mask and two CNOTs per kept two-bit mask
+    lattice, d, weave, kind, scale, seed = case
+    _, series = _quadratic_series(lattice, d, weave, kind, scale)
+    size, bits = np.abs(series.coeffs), _bit_counts(series)
+    floor = 2 * _ROUNDOFF * size.max()
+    assert bits[size >= floor / 2].max() <= 2
+    thetas = [max(theta, floor) for theta in _cutoffs_near(series, seed)]
+    for theta, counts in zip(thetas, u.sequency_sweep_counts(series, thetas)):
+        kept = (size >= theta / 2) & (bits > 0)
+        assert counts == {"rz": int(kept.sum()), "cx": 2 * int((kept & (bits == 2)).sum())}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_quadratic_case())
+@example((u.LatticeSpec(16, 16), u.digitize(255, 2, 0.8, "non-compact"), None, "RR", -0.3, 1))
+@example((u.LatticeSpec(16, 16), u.digitize(255, 2, 1.3, "non-compact"), None, "BB", -0.6, 2))
+@example((u.LatticeSpec(4, 4), u.digitize(15, 4, 1.645, "compact"), None, "RR", -0.5, 3))
+def test_quadratic_counts_hold_to_the_series_path(case):
+    lattice, d, weave, kind, scale, seed = case
+    q, series = _quadratic_series(lattice, d, weave, kind, scale)
+    floor = 2 * _ROUNDOFF * np.abs(series.coeffs).max()
+    thetas = [max(theta, floor) for theta in _cutoffs_near(series, seed)]
+    got = quadratic_sweep_counts(q, d, kind, scale, thetas)
+    assert got == u.sequency_sweep_counts(series, thetas)
+    if weave is None:  # integer q on one spacing: the exact zeros stay exact
+        assert quadratic_sweep_counts(q, d, kind, scale, [0.0]) == got[:1]
+
+
+def test_quadratic_counts_keep_a_mask_at_exactly_its_cutoff():
+    # spacing 1, weight 1/2, scale 1 and q = I + J on 3 plaquettes, so every |a| is
+    # dyadic: q_pr 2^(k+l) / 4 for bits k of p and l of r, 2^k for bit k alone
+    d = u.Digitization(2, 1.0, np.full(3, 2.0), "non-compact", "original")
+    q = u.magnetic_quadratic_form(3)
+    series = u.hamiltonian_series(u.magnetic_terms(d), d, 1.0)
+    pairs = {0.25: 3, 0.5: 6, 1.0: 6}  # k + l = 0, 1, 1, 2 across plaquettes; q_pp = 2 within
+    singles = {1.0: 3, 2.0: 3}
+    for a in (0.25, 0.5, 1.0, 2.0):
+        two = sum(c for size, c in pairs.items() if size >= a)
+        one = sum(c for size, c in singles.items() if size >= a)
+        thetas = [2 * a, np.nextafter(2 * a, 3 * a)]
+        at, above = quadratic_sweep_counts(q, d, "BB", 1.0, thetas)
+        assert at == {"rz": two + one, "cx": 2 * two} and above["rz"] < at["rz"]
+        assert [at, above] == u.sequency_sweep_counts(series, thetas)
+
+
+def test_quadratic_counts_check_their_input():
+    d = u.digitize(3, 2, 0.5, "non-compact")
+    q = u.magnetic_quadratic_form(3)
+    assert quadratic_sweep_counts(q, d, "BB", -0.1, []) == []
+    with pytest.raises(ValueError, match="unknown bilinear kind"):
+        quadratic_sweep_counts(q, d, "RB", -0.1, [0.0])
+    with pytest.raises(ValueError, match="shape"):
+        quadratic_sweep_counts(q[:2, :2], d, "BB", -0.1, [0.0])
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        quadratic_sweep_counts(q, d, "BB", -0.1, [0.1, float("nan")])
+    with pytest.raises(ValueError, match="non-finite"):
+        quadratic_sweep_counts(q, d, "BB", -1e308, [0.0])
