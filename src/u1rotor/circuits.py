@@ -304,15 +304,6 @@ def _bits(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-def _cutoffs(thetas) -> list:
-    """``thetas`` as a list, after checking that each is a non-negative finite cutoff."""
-    thetas = list(thetas)
-    for theta in thetas:
-        if not 0 <= theta < math.inf:
-            raise ValueError(f"cutoff must be non-negative and finite, got {theta}")
-    return thetas
-
-
 def sequency_sweep_counts(series: WalshSeries, thetas) -> list[dict[str, int]]:
     """Gate counts of `truncated_circuit` at every cutoff in ``thetas``, without building gates.
 
@@ -322,7 +313,10 @@ def sequency_sweep_counts(series: WalshSeries, thetas) -> list[dict[str, int]]:
     `exact_circuit` places: one Rz per kept row, one CNOT per set control
     bit, less the two target bits of each msb group.
     """
-    thetas = _cutoffs(thetas)
+    thetas = list(thetas)
+    for theta in thetas:
+        if not 0 <= theta < math.inf:
+            raise ValueError(f"cutoff must be non-negative and finite, got {theta}")
     if not thetas:
         return []
     words, msb, coeffs = _sequency_rows(threshold_truncate(series, min(thetas))[0])

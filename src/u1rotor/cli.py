@@ -40,8 +40,6 @@ from .hamiltonian import (
     CosineTerm,
     build_model,
     dense_matrix,
-    electric_quadratic_form,
-    magnetic_quadratic_form,
     magnetic_terms,
     noncompact_spectrum_oracle,
     plaquette_expectation,
@@ -59,10 +57,9 @@ from .trotter import (
     SPLITTING,
     ThetaPolicy,
     TrotterPlan,
-    factor_series,
+    factor_sweep_counts,
     hamiltonian_series,
     product_scaling_study,
-    quadratic_sweep_counts,
     step_circuit,
     term_series,
 )
@@ -355,25 +352,11 @@ def cmd_gatecount(args) -> int:
             series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, q, g, "compact"), dt)
             return sequency_sweep_counts(series, cutoffs)
         d = digitize(p, q, g, formulation, basis, weave)
-        if formulation == "compact" and term in ("magnetic", "maximal"):
-            magnetic = magnetic_terms(d, weave)
-            series = hamiltonian_series(magnetic[-1:] if term == "maximal" else magnetic, d, -dt)
-            return sequency_sweep_counts(series, cutoffs)
-        # a step applies each factor, with its share of -dt, once per letter of its
-        # splitting; its Fourier blocks hold no Rz or CNOT
+        if term == "maximal":  # the constraint row's cosine alone, not a step factor
+            return sequency_sweep_counts(hamiltonian_series(magnetic_terms(d, weave)[-1:], d, -dt),
+                                         cutoffs)
         names = {"electric": "E", "magnetic": "B", "step": SPLITTING[args.order]}[term]
-        if formulation == "compact" and term == "step":
-            factors = factor_series(build_model(lattice, d, weave), plan)
-            swept = {name: sequency_sweep_counts(series, cutoffs)
-                     for name, series in zip("EB", factors)}
-        else:  # electric and non-compact magnetic factors, from their forms at any width
-            forms = {"E": lambda: electric_quadratic_form(lattice, weave),
-                     "B": lambda: magnetic_quadratic_form(p, weave)}
-            swept = {name: quadratic_sweep_counts(forms[name](), d, "RR" if name == "E" else "BB",
-                                                  -dt / names.count(name), cutoffs)
-                     for name in set(names)}
-        return [{kind: sum(swept[name][i][kind] for name in names) for kind in ("rz", "cx")}
-                for i in range(len(cutoffs))]
+        return factor_sweep_counts(lattice, d, weave, plan, names, cutoffs)
 
     keys = list(dict.fromkeys(key for _, key, _ in points))
     by_key = {key: iter(c) for key, c in zip(keys, _pmap(counts, keys, args.workers))}
@@ -544,7 +527,7 @@ _COMMANDS = {
         lattice=_REQUIRED, nq=3, g_grid="0.01:10:20:log", weave=None, scan_bmax=False,
         format="csv", out=None, workers=1, config=None)),
     "gatecount": (cmd_gatecount, "gate counts along a sweep axis (electric and "
-                  "non-compact counts have no qubit cap)", dict(
+                  "non-compact counts have no qubit cap below n_q = 1024)", dict(
         axis="theta", term="magnetic", lattice=None, nqs=None, nps=None, g=0.1,
         g_grid="0.1:10:15:log", theta_grid=[2.0**-k for k in range(13)],
         formulation="compact", basis="original", weave=None, dt=1.0, order=1, theta_min=0.0,

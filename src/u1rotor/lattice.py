@@ -227,6 +227,8 @@ def digitize(
         raise ValueError(f"n_p and n_q must be integers, got {n_p!r} and {n_q!r}")
     if n_p < 1:
         raise ValueError(f"need at least one plaquette, got n_p={n_p}")
+    if not 1 <= n_q < 1024:  # the 2^n_q grid points must fit a float
+        raise ValueError(f"need n_q from 1 to 1023 qubits, got n_q={n_q}")
     if (basis == "weaved") != (weave is not None):
         need = "requires a" if weave is None else "takes no"
         raise ValueError(f"{basis} basis {need} weave matrix")

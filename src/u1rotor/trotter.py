@@ -20,16 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, _cutoffs, exact_circuit, qft_circuit, sequency_sweep_counts
+from .circuits import Circuit, exact_circuit, qft_circuit, sequency_sweep_counts
 from .hamiltonian import (
     _COUPLING_TOL,
     TERM_LIMIT_QUBITS,
     HamiltonianModel,
     _check_cap,
     diagonal_of_term,
+    electric_quadratic_form,
     extreme_eigenpairs,
     fourier_conjugate,
     local_form,
+    magnetic_quadratic_form,
+    magnetic_terms,
     operator_diagonals,
 )
 from .lattice import _is_integer, b_grid, digitize, embed_positions
@@ -112,15 +115,15 @@ def quadratic_sweep_counts(q, d, kind: str, scale: float, thetas) -> list[dict[s
     w the coupling weight (g^2/2 or 1/(2 g^2)) times ``scale``, bits k of p and l of
     r (p < r, or p = r and k < l) have |a| = |w Q_pr 2^(k+l) / 2| and bit k of p
     alone |a| = |w 2^k sum_r Q_pr / 2|, counted by the two-bit corollary of `circuits`.
-    Tie rule: a mask is kept when |a| >= theta / 2 and |a| > `PRUNE_TOL`; its |a|
-    differs from the transform's by rounding, so the counts differ from the series
-    path's only where theta / 2 lies within rounding of a coefficient.
+    Tie rule: a mask is kept when |a| >= theta / 2 and |a| > `PRUNE_TOL`; the counts
+    differ from the series path's only where theta / 2 is within rounding of an |a|,
+    or below about 1e-14, where the series can hold round-off of exact zeros.
     """
     if kind not in ("RR", "BB"):
         raise ValueError(f"unknown bilinear kind {kind!r}")
     if np.shape(q) != (d.n_p, d.n_p):
         raise ValueError(f"quadratic form of shape {np.shape(q)} on {d.n_p} plaquettes")
-    thetas = _cutoffs(thetas)
+    thetas = [ThetaPolicy("abs", theta).value for theta in thetas]  # checks each cutoff
     s = math.pi / d.b_max if kind == "RR" else np.ldexp(d.b_max, 1 - d.n_q)
     t = s / s.max()  # exactly 1 on a uniform grid, where integer rows of q sum exactly
     w = abs(scale * (0.5 * d.g**2 if kind == "RR" else 0.5 / d.g**2)) * s.max() ** 2 / 2
@@ -146,17 +149,35 @@ def quadratic_sweep_counts(q, d, kind: str, scale: float, thetas) -> list[dict[s
     return counts
 
 
-def factor_series(model: HamiltonianModel, plan: TrotterPlan):
-    """(electric, magnetic) step-factor series before truncation.
+def _share(plan: TrotterPlan, name: str) -> float:
+    """-dt over the times `SPLITTING` applies factor ``name``: -dt/2 for "E" at order 2."""
+    return -plan.dt / SPLITTING[plan.order].count(name)
 
-    Each factor carries -dt over the number of times `SPLITTING` applies it:
-    -dt/2 for the electric factor of the symmetric splitting, -dt otherwise.
+
+def factor_series(model: HamiltonianModel, plan: TrotterPlan):
+    """(electric, magnetic) step-factor series before truncation, each with its `_share` of -dt."""
+    return tuple(hamiltonian_series(terms, model.digitization, _share(plan, name))
+                 for name, terms in (("E", model.electric), ("B", model.magnetic)))
+
+
+def factor_sweep_counts(lattice, d, weave, plan: TrotterPlan, names: str, thetas):
+    """Rz and CNOT counts at each cutoff of the factors ("E", "B") ``names`` applies.
+
+    Each carries its `_share` of -dt.  The electric and non-compact magnetic factors
+    are counted by `quadratic_sweep_counts` at any width, the compact magnetic cosines
+    by `sequency_sweep_counts` of their series; ``lattice`` is read for "E" only.
     """
-    splitting = SPLITTING[plan.order]
-    return tuple(
-        hamiltonian_series(terms, model.digitization, -plan.dt / splitting.count(name))
-        for name, terms in (("E", model.electric), ("B", model.magnetic))
-    )
+    def counts(name):
+        if name == "B" and d.formulation == "compact":
+            series = hamiltonian_series(magnetic_terms(d, weave), d, _share(plan, name))
+            return sequency_sweep_counts(series, thetas)
+        q, kind = ((electric_quadratic_form(lattice, weave), "RR") if name == "E"
+                   else (magnetic_quadratic_form(d.n_p, weave), "BB"))
+        return quadratic_sweep_counts(q, d, kind, _share(plan, name), thetas)
+
+    swept = {name: counts(name) for name in set(names)}
+    return [{kind: sum(swept[name][i][kind] for name in names) for kind in ("rz", "cx")}
+            for i in range(len(thetas))]
 
 
 def truncate_factors(factors, plan: TrotterPlan):
@@ -164,10 +185,9 @@ def truncate_factors(factors, plan: TrotterPlan):
 
     This is the one truncation decision behind `step_circuit`, the
     fused-phase evolution of `simulator.loschmidt_sweep` and the drop counts
-    of `error_bound` (`gatecount --term step` applies the same cutoff rule
-    to `factor_series` inside `sequency_sweep_counts`): each factor is cut
-    at the plan's resolved cutoff and is exactly exp(i * state_values(kept)),
-    its mask-0 coefficient included.
+    of `error_bound` (`factor_sweep_counts` counts by the same cutoff rule):
+    each factor is cut at the plan's resolved cutoff and is exactly
+    exp(i * state_values(kept)), its mask-0 coefficient included.
     """
     series_e, series_b = factors
     return (threshold_truncate(series_e, plan.theta_e.resolve(plan.dt)),

@@ -365,20 +365,21 @@ def test_gatecount_reads_the_weave_file_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("term, builder, argv", [
     ("magnetic", "hamiltonian_series", ["--np", "3"]),
-    ("step", "factor_series", ["--lattice", "2x2", "--order", "2"]),
+    ("step", "hamiltonian_series", ["--lattice", "2x2", "--order", "2"]),
 ])
 def test_gatecount_theta_sweep_builds_one_series(tmp_path, monkeypatch, term, builder, argv):
-    # the default 13-point theta grid is counted from one series (one pair for the step)
-    import u1rotor.cli as cli
+    # the default 13-point theta grid is counted from one series: the compact
+    # magnetic factor's (the step's electric factor is counted from its form)
+    import u1rotor.trotter as trotter
 
     builds = []
-    build = getattr(cli, builder)
+    build = getattr(trotter, builder)
 
     def spy(*args):
         builds.append(args)
         return build(*args)
 
-    monkeypatch.setattr(cli, builder, spy)
+    monkeypatch.setattr(trotter, builder, spy)
     base = ["gatecount", "--axis", "theta", "--term", term, "--nq", "2", "--g", "0.7",
             "--dt", "0.2", *argv, "--format", "json"]
     out = tmp_path / "sweep.json"
@@ -401,12 +402,14 @@ def test_gatecount_theta_sweep_builds_one_series(tmp_path, monkeypatch, term, bu
 def test_gatecount_counts_quadratic_factors_without_a_series(tmp_path, monkeypatch, argv):
     # electric and non-compact factors are counted from their quadratic forms alone
     import u1rotor.cli as cli
+    import u1rotor.trotter as trotter
 
     def refuse(*args):
         raise AssertionError("a quadratic factor's count built a model or a series")
 
-    for builder in ("build_model", "hamiltonian_series", "factor_series"):
-        monkeypatch.setattr(cli, builder, refuse)
+    for module, builder in [(cli, "build_model"), (cli, "hamiltonian_series"),
+                            (trotter, "hamiltonian_series"), (trotter, "factor_series")]:
+        monkeypatch.setattr(module, builder, refuse)
     out = tmp_path / "sweep.json"
     main(["gatecount", "--axis", "theta", "--nq", "2", "--g", "0.7", "--dt", "0.2", *argv,
           "--format", "json", "--out", str(out)])
@@ -535,6 +538,10 @@ IGNORED_BY_TERM = [
 BAD_INPUT_MESSAGES = {
     ("l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"): "above --qubit-limit 16",
     ("l1", "--nq", "17"): "above --qubit-limit 16",
+    ("gatecount", "--term", "electric", "--lattice", "2x2", "--nq", "1100"):
+        "need n_q from 1 to 1023 qubits, got n_q=1100",
+    ("gatecount", "--term", "magnetic", "--np", "3", "--nq", "1024", "--formulation",
+     "non-compact"): "need n_q from 1 to 1023 qubits, got n_q=1024",
     ("product-scaling", "--nq", "8", "--np", "3"): "product spans 24 qubits, above the",
     ("evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin",
      "--theta-list", "inf"): "cutoff must be non-negative and finite",
@@ -666,6 +673,10 @@ BAD_INPUT_MESSAGES = {
     # zero and negative worker counts ran the sweep serially
     ["l1", "--nq", "2", "--workers", "0"],
     ["evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin", "--workers", "-3"],
+    # 2^n_q grid points overflowed a float: an OverflowError traceback
+    ["gatecount", "--term", "electric", "--lattice", "2x2", "--nq", "1100"],
+    ["gatecount", "--term", "magnetic", "--np", "3", "--nq", "1024", "--formulation",
+     "non-compact"],
     # a width above --qubit-limit without --np left no n_p to run: a header-only table
     ["l1", "--nq", "17"],
     # 24 qubits of repeated products went to the transform unchecked

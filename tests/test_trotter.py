@@ -439,3 +439,17 @@ def test_quadratic_counts_check_their_input():
         quadratic_sweep_counts(q, d, "BB", -0.1, [0.1, float("nan")])
     with pytest.raises(ValueError, match="non-finite"):
         quadratic_sweep_counts(q, d, "BB", -1e308, [0.0])
+
+
+def test_quadratic_counts_leave_out_the_series_roundoff_at_cutoff_zero():
+    # a known, accepted difference: the transform leaves round-off of exact zeros
+    # above PRUNE_TOL here, which the series path (and so `export`) keeps at cutoff 0
+    # and the closed form, hence `gatecount`, does not; from 1e-14 up they agree
+    lattice, d = u.LatticeSpec(4, 4), u.digitize(15, 4, 1.645, "compact")
+    series = u.hamiltonian_series(u.electric_terms(lattice), d, -0.5)
+    size = np.abs(series.coeffs)
+    roundoff = int(((size < 2 * _ROUNDOFF * size.max()) & series.words.any(axis=1)).sum())
+    closed = quadratic_sweep_counts(u.electric_quadratic_form(lattice), d, "RR", -0.5, [0.0, 1e-14])
+    walsh = u.sequency_sweep_counts(series, [0.0, 1e-14])
+    assert closed[0] == closed[1] == walsh[1] == {"rz": 554, "cx": 1076}
+    assert roundoff > 0 and walsh[0]["rz"] == 554 + roundoff and walsh[0]["cx"] > 1076
