@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .walsh import WalshSeries, _words, sequency_order, threshold_truncate
+from .walsh import WalshSeries, _words, check_cutoff, sequency_order, threshold_truncate
 
 # gate kind -> (qubit count, takes an angle); a kind column holds indices into GATE_NAMES
 GATE_FORMS = {"rz": (1, True), "cx": (2, False), "h": (1, False), "cu1": (2, True), "swap": (2, False)}
@@ -313,10 +313,7 @@ def sequency_sweep_counts(series: WalshSeries, thetas) -> list[dict[str, int]]:
     `exact_circuit` places: one Rz per kept row, one CNOT per set control
     bit, less the two target bits of each msb group.
     """
-    thetas = list(thetas)
-    for theta in thetas:
-        if not 0 <= theta < math.inf:
-            raise ValueError(f"cutoff must be non-negative and finite, got {theta}")
+    thetas = [check_cutoff(theta) for theta in thetas]
     if not thetas:
         return []
     words, msb, coeffs = _sequency_rows(threshold_truncate(series, min(thetas))[0])

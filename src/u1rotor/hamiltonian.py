@@ -30,13 +30,11 @@ tests in order, so it stops where a test at every step would.  `ground_state` (s
 from `operator_diagonals`, and `trotter.error_bound` on i[H_E, H_B].  Dense
 matrices remain for full spectra, exact evolution and test oracles.
 
-The qubit caps are constants of this module, checked only where memory is
-allocated: `DENSE_LIMIT_QUBITS` in `operator_diagonals` (so every dense
-matrix, spectrum, ground state, evolution and error budget),
-`TERM_LIMIT_QUBITS` in `diagonal_of_term` and `dense_diagonals` (so every
-Walsh series), in `trotter.product_scaling_study` (its widest product) and
-in `simulator.loschmidt` (the state limit; its message gives the bytes of
-one state).  Above a cap they raise `ResourceLimitError` before allocating.
+Memory follows one byte budget, `lattice.MEMORY_BUDGET` (2 GiB): each site that
+allocates arrays growing with 2^n or 4^n first reserves its measured peak working
+set (`lattice.reserve`), and above the budget raises `ResourceLimitError`.  Term
+diagonals fit up to 26 qubits, register diagonals 25, dense matrices 13, and Krylov
+bases 64 states at 20 qubits, 128 at 19, 256 at 18, 512 at 17 and 1024 at 16.
 """
 
 from __future__ import annotations
@@ -56,10 +54,9 @@ from .lattice import (
     b_grid,
     identity_weave,
     r_grid,
+    reserve,
 )
 
-DENSE_LIMIT_QUBITS = 14  # full matrices / diagonalization
-TERM_LIMIT_QUBITS = 22  # per-term and full-register diagonals
 LANCZOS_TOL = 1e-13  # Ritz residual bound over the largest Ritz magnitude
 
 _COUPLING_TOL = 1e-12
@@ -197,12 +194,6 @@ def build_model(
     )
 
 
-def _check_cap(what: str, n: int, kind: str, cap: int) -> None:
-    """Raise before allocating when ``what`` spans more than ``cap`` qubits."""
-    if n > cap:
-        raise ResourceLimitError(f"{what} spans {n} qubits, above the {kind} limit of {cap}")
-
-
 def diagonal_of_term(term, d: Digitization) -> np.ndarray:
     """Diagonal of one term as a grid tensor over its support plaquettes.
 
@@ -210,7 +201,8 @@ def diagonal_of_term(term, d: Digitization) -> np.ndarray:
     support plaquette i, as read from the digitization.
     """
     support = term.plaquettes
-    _check_cap("term", len(support) * d.n_q, "dense diagonal", TERM_LIMIT_QUBITS)
+    width = len(support) * d.n_q  # four tensors: this one and fwt's copy and butterfly halves
+    reserve(f"{width}-qubit term diagonal", 32 << width)
     if isinstance(term, CosineTerm):
         arg = 0.0
         for p, c in term.support:
@@ -247,10 +239,8 @@ def _register_sum(terms, d: Digitization) -> np.ndarray:
 
 
 def dense_diagonals(model: HamiltonianModel):
-    """Full-register electric (rotor basis) and magnetic (field basis) diagonals."""
-    _check_cap("register", model.n_qubits, "diagonal", TERM_LIMIT_QUBITS)
-    d = model.digitization
-    return _register_sum(model.electric, d).ravel(), _register_sum(model.magnetic, d).ravel()
+    """`operator_diagonals`, raveled: electric (rotor basis) and magnetic (field basis)."""
+    return tuple(tensor.ravel() for tensor in operator_diagonals(model))
 
 
 def ft_matrix(n_q: int) -> np.ndarray:
@@ -277,14 +267,14 @@ def fourier_conjugate(diagonal: np.ndarray, states: np.ndarray,
 
 
 def operator_diagonals(model: HamiltonianModel):
-    """Register tensors ``e`` and ``b`` of H = F diag(e) F^dagger + diag(b), under the dense cap.
+    """Register tensors ``e`` and ``b`` of H = F diag(e) F^dagger + diag(b).
 
     Every route to H starts here: the dense matrices and the matrix-free product
     H psi = `fourier_conjugate(e, psi) + b psi`.  Hermiticity is checked on ``k = ifftn(e)``,
     the kernel of F diag(e) F^dagger: ``max |k[d] - conj(k[-d])|`` is ``max |h - h^dagger|``,
-    real diagonal or not.
+    real diagonal or not.  It reserves eight real register tensors; the check's peak is seven.
     """
-    _check_cap("register", model.n_qubits, "dense", DENSE_LIMIT_QUBITS)
+    reserve(f"{model.n_qubits}-qubit register diagonals", 64 << model.n_qubits)
     d = model.digitization
     e = _register_sum(model.electric, d)
     kernel = np.fft.ifftn(e)
@@ -301,6 +291,8 @@ def _circulant(e: np.ndarray) -> np.ndarray:
     A multilevel circulant: entry ``[l, l']`` is ``k = ifftn(e)`` at ``(l - l') mod N``
     per plaquette, gathered with nothing of size dim^2 but the result allocated.
     """
+    # the result, the kernel and 1 MiB for numpy's gather buffers
+    reserve(f"{e.size}x{e.size} dense matrix", 16 * e.size * (e.size + 1) + (1 << 20))
     kernel, n = np.fft.ifftn(e), e.ndim
     grid = np.arange(e.shape[0])
     offsets = (grid[:, None] - grid[None, :]) % grid.size
@@ -393,7 +385,9 @@ def extreme_eigenpairs(apply, dim: int):
     maximum, and a converged extreme pair stays converged unless a more extreme
     Ritz value appears.  When a test fires, the steps since the previous test are
     tested in order and the first that fires acts, so the stop step, breakdowns and
-    result are those of a test at every step.
+    result are those of a test at every step.  The basis grows to 64 states, then
+    by doubling; each growth reserves the old and the grown basis, four working
+    states and the tridiagonal tests' matrices.
     """
     if not _is_integer(dim) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
@@ -416,13 +410,15 @@ def extreme_eigenpairs(apply, dim: int):
         return scale, None
 
     rng = np.random.default_rng(0)
-    basis = np.zeros((min(dim, 64), dim), dtype=complex)
+    basis = np.zeros((0, dim), dtype=complex)
     diag, off = np.zeros(dim), np.zeros(dim)
     v, start, scale, tested, k = rng.standard_normal(dim), 0, 0.0, -1, -1
     while True:
         k += 1
         if k == len(basis):
-            basis = np.concatenate([basis, np.zeros_like(basis)])[:dim]
+            rows = max(2 * k, 64)
+            reserve(f"{rows}x{dim} Lanczos basis", 16 * dim * (k + rows + 4) + 32 * rows * rows)
+            basis = np.pad(basis, ((0, rows - k), (0, 0)))[:dim]
         basis[k] = v / np.linalg.norm(v)
         w = apply(basis[k])
         diag[k] = np.vdot(basis[k], w).real

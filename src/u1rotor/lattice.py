@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WEAVE_ORTHO_TOL = 1e-10
+MEMORY_BUDGET = 1 << 31  # bytes one construction may hold at its peak: 2 GiB
 
 
 class WeaveUnavailableError(ValueError):
@@ -33,7 +34,14 @@ class WeaveUnavailableError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A construction would exceed one of the qubit caps of `hamiltonian`."""
+    """A construction would exceed `MEMORY_BUDGET` (see `reserve`) or a search or sweep bound."""
+
+
+def reserve(what: str, nbytes: int) -> int:
+    """Refuse ``what`` if its peak of ``nbytes`` exceeds the budget; else return the bytes left."""
+    if nbytes > MEMORY_BUDGET:
+        raise ResourceLimitError(f"{what} needs {nbytes} B, over the {MEMORY_BUDGET} B budget")
+    return MEMORY_BUDGET - nbytes
 
 
 def _is_integer(value) -> bool:
@@ -127,10 +135,12 @@ def load_weave(path) -> WeaveMatrix:
     n_p = data["n_p"]
     if not _is_integer(n_p):
         raise ValueError(f"weave file {path}: n_p must be an integer, got {n_p!r}")
-    rows = np.asarray(data["rows"], dtype=float)
+    rows = np.asarray(data["rows"], dtype=object)
     if rows.shape != (n_p, n_p):
         raise ValueError(f"expected {n_p}x{n_p} rows, got shape {rows.shape}")
-    return weave_from_matrix(rows)
+    if not all(type(x) in (int, float) for x in rows.flat):  # JSON numbers load as these; true as bool
+        raise ValueError(f"weave file {path}: rows must hold numbers only")
+    return weave_from_matrix(rows.astype(float))
 
 
 def save_weave(weave: WeaveMatrix, path) -> None:

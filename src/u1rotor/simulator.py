@@ -32,14 +32,8 @@ import re
 import numpy as np
 
 from .circuits import CU1, CX, GATE_NAMES, H, RZ, SWAP, Circuit, table_error
-from .hamiltonian import (
-    TERM_LIMIT_QUBITS,
-    HamiltonianModel,
-    dense_matrix,
-    fourier_conjugate,
-    ft_matrix,
-)
-from .lattice import ResourceLimitError, r_grid
+from .hamiltonian import HamiltonianModel, dense_matrix, fourier_conjugate, ft_matrix
+from .lattice import r_grid, reserve
 from .trotter import SPLITTING, TrotterPlan, factor_series, truncate_factors
 from .walsh import state_values
 
@@ -134,8 +128,8 @@ def loschmidt_sweep(model: HamiltonianModel, plans) -> list[float]:
     The plans share order, dt and steps, so the electric ground state and
     the untruncated `factor_series` are built once, and each plan truncates
     that one pair (`trotter.truncate_factors`).  Every plan is one lane of
-    a stacked state, evolved at most 2**(TERM_LIMIT_QUBITS - n) lanes at a
-    time: a batch holds no more amplitudes than one state at the cap.
+    a stacked state, as many per batch as `lattice.MEMORY_BUDGET` holds at four states
+    shared and six per lane (phases, state, FFT temporaries): one lane up to 23 qubits.
     """
     plans = list(plans)
     if not plans:
@@ -143,18 +137,14 @@ def loschmidt_sweep(model: HamiltonianModel, plans) -> list[float]:
     order, dt, steps = plans[0].order, plans[0].dt, plans[0].steps
     if any((plan.order, plan.dt, plan.steps) != (order, dt, steps) for plan in plans):
         raise ValueError("the plans of a sweep must share order, dt and steps")
-    n = model.n_qubits
-    if n > TERM_LIMIT_QUBITS:
-        raise ResourceLimitError(
-            f"register spans {n} qubits, above the state limit of {TERM_LIMIT_QUBITS}: "
-            f"one state takes {16 << n} B"
-        )
+    state = 16 << model.n_qubits
+    spare = reserve(f"{model.n_qubits}-qubit Loschmidt sweep", (4 + 6) * state)
     psi0 = electric_ground_state(model)
     if steps == 0:
         return [1.0] * len(plans)
     factors = factor_series(model, plans[0])
     shape = (model.digitization.n_states,) * model.n_p
-    lanes, survival = 1 << (TERM_LIMIT_QUBITS - n), []
+    lanes, survival = 1 + spare // (6 * state), []
     for start in range(0, len(plans), lanes):
         batch = [truncate_factors(factors, plan) for plan in plans[start:start + lanes]]
         phase_e, phase_b = (  # one row per lane
@@ -170,6 +160,8 @@ def loschmidt_sweep(model: HamiltonianModel, plans) -> list[float]:
 
 def exact_evolution(model: HamiltonianModel, t: float) -> np.ndarray:
     """Dense exp(-i H t) via eigendecomposition; the error-measurement oracle."""
+    # beyond the matrix: eigh's copy and workspace, the eigenvectors, two products, the result
+    reserve(f"{model.n_qubits}-qubit exact evolution", 112 << 2 * model.n_qubits)
     h = dense_matrix(model)
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * vals * t)[None, :]) @ vecs.conj().T

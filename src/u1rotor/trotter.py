@@ -23,9 +23,7 @@ import numpy as np
 from .circuits import Circuit, exact_circuit, qft_circuit, sequency_sweep_counts
 from .hamiltonian import (
     _COUPLING_TOL,
-    TERM_LIMIT_QUBITS,
     HamiltonianModel,
-    _check_cap,
     diagonal_of_term,
     electric_quadratic_form,
     extreme_eigenpairs,
@@ -35,8 +33,9 @@ from .hamiltonian import (
     magnetic_terms,
     operator_diagonals,
 )
-from .lattice import _is_integer, b_grid, digitize, embed_positions
-from .walsh import PRUNE_TOL, WalshSeries, embed, embed_copies, fwt, merge, threshold_truncate
+from .lattice import _is_integer, b_grid, digitize, embed_positions, reserve
+from .walsh import (PRUNE_TOL, WalshSeries, check_cutoff, embed, embed_copies, fwt, merge,
+                    threshold_truncate)
 
 # Each order's diagonal factors as applied to the state: "E" electric, "B" magnetic
 SPLITTING = {1: "BE", 2: "EBE"}
@@ -52,8 +51,7 @@ class ThetaPolicy:
     def __post_init__(self):
         if self.mode not in ("abs", "dt", "dt2"):
             raise ValueError(f"unknown cutoff policy {self.mode!r}")
-        if not 0 <= self.value < math.inf:
-            raise ValueError(f"cutoff must be non-negative and finite, got {self.value}")
+        check_cutoff(self.value)
 
     def resolve(self, dt: float) -> float:
         if self.mode == "abs":
@@ -123,7 +121,7 @@ def quadratic_sweep_counts(q, d, kind: str, scale: float, thetas) -> list[dict[s
         raise ValueError(f"unknown bilinear kind {kind!r}")
     if np.shape(q) != (d.n_p, d.n_p):
         raise ValueError(f"quadratic form of shape {np.shape(q)} on {d.n_p} plaquettes")
-    thetas = [ThetaPolicy("abs", theta).value for theta in thetas]  # checks each cutoff
+    thetas = [check_cutoff(theta) for theta in thetas]
     s = math.pi / d.b_max if kind == "RR" else np.ldexp(d.b_max, 1 - d.n_q)
     t = s / s.max()  # exactly 1 on a uniform grid, where integer rows of q sum exactly
     w = abs(scale * (0.5 * d.g**2 if kind == "RR" else 0.5 / d.g**2)) * s.max() ** 2 / 2
@@ -261,9 +259,9 @@ def product_scaling_study(n_q=2, np_max=8, g=0.1):
     the first with it.  Predictions are 2 * A2^r with A2 the second largest
     single-cosine coefficient magnitude.  The cutoffs are 2^-k for k = 0..36;
     each product's series is sorted in sequency order once and counted at
-    all of them (`sequency_sweep_counts`).
+    all of them (`sequency_sweep_counts`).  The widest reserves eight arrays of its width.
     """
-    _check_cap("product", n_q * np_max, "dense diagonal", TERM_LIMIT_QUBITS)
+    reserve(f"{n_q * np_max}-qubit product", 64 << n_q * np_max)
     d = digitize(1, n_q, g, "compact")
     f = np.cos(b_grid(d, 0))
     single = np.sort(np.abs(fwt(f).coeffs))[::-1]

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import TERM_LIMIT_QUBITS
+from . import lattice
 
 # Storage pruning threshold; far below any angle that survives truncation.
 PRUNE_TOL = 1e-15
@@ -212,11 +212,11 @@ def embed(series: WalshSeries, positions: list[int], width: int) -> WalshSeries:
 
     Bit ``i`` of every mask moves to qubit ``positions[i]``; coefficients are
     untouched.  Positions must be distinct and inside the target register.
-    A permutation of a register of at most `TERM_LIMIT_QUBITS` qubits moves
-    the dense coefficient array instead (`_permuted`).
+    A permutation within `lattice.MEMORY_BUDGET` (four dense arrays) moves the
+    dense coefficient array instead (`_permuted`); both move values exactly.
     """
     _check_positions(positions, series.n, width)
-    if series.n == width <= TERM_LIMIT_QUBITS:
+    if series.n == width and 32 << width <= lattice.MEMORY_BUDGET:
         return _permuted(series, positions)
     moved = np.zeros((len(series), _word_count(width)), dtype=np.uint64)
     _relocated(series.words, [p // 64 for p in positions], [p % 64 for p in positions], moved.T)
@@ -266,6 +266,13 @@ def merge(series_list) -> WalshSeries:
     return WalshSeries._of(n, words[first][keep], total[keep])
 
 
+def check_cutoff(theta: float) -> float:
+    """``theta``, once checked to be a non-negative, finite rotation-angle cutoff."""
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"cutoff must be non-negative and finite, got {theta}")
+    return theta
+
+
 def threshold_truncate(series: WalshSeries, theta_min: float) -> tuple[WalshSeries, int]:
     """Drop every nonzero mask whose rotation angle magnitude 2|a_j| falls below theta_min.
 
@@ -273,8 +280,7 @@ def threshold_truncate(series: WalshSeries, theta_min: float) -> tuple[WalshSeri
     |a_j| >= theta_min / 2; returns the surviving series together with the
     number of dropped entries.
     """
-    if not 0 <= theta_min < math.inf:
-        raise ValueError(f"cutoff must be non-negative and finite, got {theta_min}")
+    check_cutoff(theta_min)
     keep = (np.abs(series.coeffs) >= theta_min / 2.0) | ~series.words.any(axis=1)
     kept = WalshSeries._of(series.n, series.words[keep], series.coeffs[keep])
     return kept, len(series) - len(kept)

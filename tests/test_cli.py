@@ -535,6 +535,16 @@ IGNORED_BY_TERM = [
 ]
 
 # message fragments that a bad-input case must name
+# weave rows holding an entry that is no JSON number, by file name
+ILL_TYPED_ROWS = {
+    "dict": [[{}, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "bool": [[True, False, False], [False, True, False], [False, False, True]],
+    "null": [[None, 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+ILL_TYPED_WEAVES = {name: ["gatecount", "--term", "magnetic", "--np", "3", "--nq", "2", "--basis",
+                           "weaved", "--weave", f"{{tmp}}/{name}_weave.json"]
+                    for name in ILL_TYPED_ROWS}
+
 BAD_INPUT_MESSAGES = {
     ("l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"): "above --qubit-limit 16",
     ("l1", "--nq", "17"): "above --qubit-limit 16",
@@ -542,7 +552,12 @@ BAD_INPUT_MESSAGES = {
         "need n_q from 1 to 1023 qubits, got n_q=1100",
     ("gatecount", "--term", "magnetic", "--np", "3", "--nq", "1024", "--formulation",
      "non-compact"): "need n_q from 1 to 1023 qubits, got n_q=1024",
-    ("product-scaling", "--nq", "8", "--np", "3"): "product spans 24 qubits, above the",
+    ("product-scaling", "--nq", "9", "--np", "3"):
+        f"27-qubit product needs {64 << 27} B, over the {1 << 31} B budget",
+    ("gatecount", "--term", "maximal", "--axis", "np", "--np", "9", "--nq", "3"):
+        f"27-qubit term diagonal needs {32 << 27} B, over the {1 << 31} B budget",
+    **{tuple(argv): f"{name}_weave.json: rows must hold numbers only"
+       for name, argv in ILL_TYPED_WEAVES.items()},
     ("evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin",
      "--theta-list", "inf"): "cutoff must be non-negative and finite",
     ("export", "--lattice", "2x2", "--nq", "1", "--theta-min", "inf"):
@@ -584,8 +599,8 @@ BAD_INPUT_MESSAGES = {
      "--dt-list", "0.15"],
     # the single width is the compact reference, which left an empty table
     ["spectrum", "--lattice", "2x2", "--nq", "2", "--formulation", "compact"],
-    # 24 qubits, above the term limit: a one-line message, not a traceback
-    ["gatecount", "--term", "maximal", "--axis", "np", "--np", "8", "--nq", "3"],
+    # 27 qubits, above the memory budget's 26-qubit terms: a one-line message, not a traceback
+    ["gatecount", "--term", "maximal", "--axis", "np", "--np", "9", "--nq", "3"],
     # a NaN coupling made every coefficient NaN, so every term was pruned
     ["gatecount", "--term", "cosine", "--axis", "theta", "--nq", "2", "--g", "nan",
      "--theta-grid", "0"],
@@ -679,8 +694,11 @@ BAD_INPUT_MESSAGES = {
      "non-compact"],
     # a width above --qubit-limit without --np left no n_p to run: a header-only table
     ["l1", "--nq", "17"],
-    # 24 qubits of repeated products went to the transform unchecked
-    ["product-scaling", "--nq", "8", "--np", "3"],
+    # 27 qubits of repeated products, above the memory budget's 25-qubit products
+    ["product-scaling", "--nq", "9", "--np", "3"],
+    # a weave entry that is no JSON number ended in a TypeError traceback (a dict),
+    # was read as 1 or 0 (a bool) or reported "not orthogonal ... = nan" (a null)
+    *ILL_TYPED_WEAVES.values(),
     # a weave file on the original basis was ignored (every command but
     # gatecount, which read it), and a missing weave failed in three ways
     *ORIGINAL_WITH_WEAVE,
@@ -703,6 +721,8 @@ def test_bad_input_exits_without_table(tmp_path, argv):
     rows = u.builtin_weave(3).w.tolist()
     (tmp_path / "float_np_weave.json").write_text(json.dumps({"n_p": 3.7, "rows": rows}))
     (tmp_path / "bool_np_weave.json").write_text(json.dumps({"n_p": True, "rows": [[1.0]]}))
+    for name, rows in ILL_TYPED_ROWS.items():
+        (tmp_path / f"{name}_weave.json").write_text(json.dumps({"n_p": 3, "rows": rows}))
     message = BAD_INPUT_MESSAGES.get(tuple(argv), "")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     out = tmp_path / "table.csv"

@@ -111,13 +111,14 @@ def test_diagonal_of_bilinear_outer_product():
 
 
 def test_diagonal_term_resource_limit():
-    # a 24 q term, above the 22 q cap, raises from every entry point before allocating
-    d = u.digitize(2, 12, 0.7, "non-compact")
+    # a 28 q term, above the budget's 26 q terms, raises from every entry point before allocating
+    d = u.digitize(2, 14, 0.7, "non-compact")
     term = u.BilinearTerm("BB", 0, 1, 1.0)
     entries = (lambda: u.diagonal_of_term(term, d), lambda: term_series(term, d, 1.0),
                lambda: u.hamiltonian_series([term], d, 1.0))
     for entry in entries:
-        with pytest.raises(u.ResourceLimitError, match="limit"):
+        with pytest.raises(u.ResourceLimitError, match=f"28-qubit term diagonal needs {32 << 28} B, "
+                                                       f"over the {1 << 31} B budget"):
             entry()
 
 
@@ -125,15 +126,22 @@ def test_dense_matrix_hermitian_and_limits():
     model = _model(n_q=2)
     h = u.dense_matrix(model)
     assert np.abs(h - h.conj().T).max() < 1e-10
-    # a 15 q model (4x4, n_q = 1), above the 14 q dense cap, raises before allocating
+    # a 15 q model (4x4, n_q = 1), above the budget's 13 q dense matrices, raises before allocating
     big = _model(n_q=1, lat=u.LatticeSpec(4, 4))
     assert big.n_qubits == 15
+    budget = f"over the {1 << 31} B budget"
+    with pytest.raises(u.ResourceLimitError, match=f"32768x32768 dense matrix needs .* {budget}"):
+        u.dense_matrix(big)
+    with pytest.raises(u.ResourceLimitError, match=f"15-qubit exact evolution needs .* {budget}"):
+        u.exact_evolution(big, 0.1)
+    # matrix-free paths refuse only a model whose first Krylov basis exceeds the budget: 21 q
+    wide = _model(n_q=3, lat=u.LatticeSpec(2, 4))
+    assert wide.n_qubits == 21
     plan = u.TrotterPlan(1, 0.1, 1)
-    entries = (u.dense_matrix, u.ground_state, u.plaquette_expectation,
-               lambda m: u.exact_evolution(m, 0.1), lambda m: u.error_bound(m, plan))
-    for entry in entries:
-        with pytest.raises(u.ResourceLimitError, match="above the dense limit of 14"):
-            entry(big)
+    for entry in (u.ground_state, u.plaquette_expectation, lambda m: u.error_bound(m, plan)):
+        with pytest.raises(u.ResourceLimitError,
+                           match=f"64x{1 << 21} Lanczos basis needs .* {budget}"):
+            entry(wide)
 
 
 def test_dense_matrix_matches_fourier_route():

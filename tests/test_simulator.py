@@ -273,20 +273,26 @@ def test_loschmidt_sweep_rejects_bad_plan_lists():
 
 
 def test_loschmidt_sweep_batches_lanes_under_the_state_cap(monkeypatch):
-    # a cap one qubit above the register holds two lanes: five plans take three batches
+    # a budget of the shared part and two lanes: five plans take three batches
     model = _model(n_q=2)  # 6 qubits
     plans = [u.TrotterPlan(2, 0.1, 2, u.ThetaPolicy("abs", k), u.ThetaPolicy("abs", k / 2))
              for k in (0.0, 0.03, 0.1, 0.3, 1.0)]
     whole = u.loschmidt_sweep(model, plans)
-    monkeypatch.setattr(u.simulator, "TERM_LIMIT_QUBITS", 7)
+    monkeypatch.setattr(u.lattice, "MEMORY_BUDGET", (4 + 2 * 6) * 16 << 6)
+    lanes, conjugate = [], u.simulator.fourier_conjugate  # lanes of each electric factor applied
+    monkeypatch.setattr(u.simulator, "fourier_conjugate",
+                        lambda phase, psi, n_p: lanes.append(len(phase)) or conjugate(phase, psi, n_p))
     assert u.loschmidt_sweep(model, plans) == whole
+    assert lanes == [2] * 4 + [2] * 4 + [1] * 4  # two steps of E B E per batch
     assert whole == [u.loschmidt(model, plan) for plan in plans]
     assert len(set(whole)) == len(whole)
 
 
 def test_loschmidt_state_limit():
+    # the shared part and one lane take ten states: 24 qubits exceed the budget
     model = _model(n_q=3, lat=u.LatticeSpec(3, 3))  # 24 qubits
-    with pytest.raises(u.ResourceLimitError, match=f"{16 << 24} B"):
+    with pytest.raises(u.ResourceLimitError, match=f"24-qubit Loschmidt sweep needs {160 << 24} B, "
+                                                   f"over the {1 << 31} B budget"):
         u.loschmidt(model, u.TrotterPlan(1, 0.1, 1))
 
 

@@ -174,9 +174,9 @@ def test_n_drop_monotone_in_dt():
 
 
 def test_product_scaling_study_checks_the_term_cap():
-    # 8 x 3 = 24 qubits: raised before the first product is built
-    with pytest.raises(u.ResourceLimitError, match="product spans 24 qubits"):
-        product_scaling_study(8, 3, 0.1)
+    # 13 x 2 = 26 qubits, above the budget's 25 q products: raised before the first product is built
+    with pytest.raises(u.ResourceLimitError, match=f"26-qubit product needs {64 << 26} B"):
+        product_scaling_study(13, 2, 0.1)
 
 
 def test_merged_series_before_truncation_in_step():
