@@ -26,9 +26,10 @@ it enters a circuit: both constructors check that the width, kind and qubit
 columns hold integers, then validate the table with `table_error`.
 `Circuit.joined` concatenates valid circuits of one width and adds their
 phases left to right from 0.0.  Shifting, reversal, `gate_count` and
-`export_qasm` work on whole columns.  ``circuit.gates`` is a read-only
-`GateView`: its length costs O(1), its items are `Gate` values built on
-demand, and ``==`` compares columns with another view or gates with a list.
+`export_qasm` work on whole columns (`export_qasm` formats a repeated gate
+line once).  ``circuit.gates`` is a read-only `GateView`: its length costs
+O(1), its items are `Gate` values built on demand, and ``==`` compares
+columns with another view or gates with a list.
 """
 
 from __future__ import annotations
@@ -356,21 +357,50 @@ def qft_circuit(n: int) -> Circuit:
 _QASM_LINES = np.array([f"{name}{'(%.17g)' * angled} q[%d]{',q[%d]' * (arity - 1)};\n"
                         for name, (arity, angled) in GATE_FORMS.items()], dtype=object)
 _QASM_FIELDS = np.column_stack([_ANGLED, np.ones_like(_ANGLED), _TWO_QUBIT])
+# Lines are written (and read) once per distinct line when at most this share of
+# the first QASM_SAMPLE lines is distinct: the measured crossover of the two paths.
+QASM_DISTINCT_SHARE = 0.75
+QASM_SAMPLE = 4096
+
+
+def _qasm_lines(kind, q0, q1, angle) -> str:
+    """The gate lines of a table's rows: one %-format of a template picked per row by kind."""
+    fields = np.empty((len(kind), 3), dtype=object)
+    for j, col in enumerate((angle, q0, q1)):
+        fields[:, j] = col.tolist()
+    return "".join(_QASM_LINES[kind].tolist()) % tuple(fields[_QASM_FIELDS[kind]].tolist())
+
+
+def _line_keys(circuit: Circuit, rows: slice) -> np.ndarray | None:
+    """Per row an int64 of its kind, qubits and angle bits' rank (-0.0 is not 0.0); None past 64 bits."""
+    span = circuit.width + 1  # q0 and q1 + 1 lie in [0, width]
+    if max(len(circuit.kind), 1) * len(GATE_NAMES) * span * span >= 1 << 63:
+        return None
+    kind, q0, q1, angle = (col[rows] for col in circuit.columns())
+    angled = _ANGLED[kind]  # the NaN of a kind without an angle is no part of the key
+    bits = np.zeros(len(kind), np.int64)
+    bits[angled] = np.unique(angle[angled].view(np.int64), return_inverse=True)[1]
+    return ((bits * len(GATE_NAMES) + kind) * span + q0) * span + q1 + 1
 
 
 def export_qasm(circuit: Circuit, path=None) -> str:
     """OpenQASM 2.0 text for a circuit; byte-deterministic for equal inputs.
 
-    The gate lines are one %-format of a template picked per row by kind,
-    over the rows' fields in order.  The global phase has no QASM 2.0
-    representation and is carried in a comment line that the bundled
-    reader understands.
+    The gate lines are those of `_qasm_lines` over the rows in order.  When
+    the first `QASM_SAMPLE` rows write few distinct lines, each distinct line
+    is formatted once and copied to every row that writes it.  The global
+    phase has no QASM 2.0 representation and is carried in a comment line
+    that the bundled reader understands.
     """
-    fields = np.empty((len(circuit.kind), 3), dtype=object)
-    for j, col in enumerate((circuit.angle, circuit.q0, circuit.q1)):
-        fields[:, j] = col.tolist()
-    template = "".join(_QASM_LINES[circuit.kind].tolist())
-    body = template % tuple(fields[_QASM_FIELDS[circuit.kind]].tolist())
+    keys = _line_keys(circuit, slice(QASM_SAMPLE))
+    if keys is None or len(np.unique(keys)) > QASM_DISTINCT_SHARE * len(keys):
+        body = _qasm_lines(*circuit.columns())
+    else:
+        row = np.unique(_line_keys(circuit, slice(None)), return_inverse=True)[1]
+        which = np.zeros(row.max(initial=-1) + 1, np.intp)
+        which[row] = np.arange(len(row))  # a row that writes each distinct line
+        lines = _qasm_lines(*(col[which] for col in circuit.columns())).splitlines(True)
+        body = "".join(np.array(lines, dtype=object)[row].tolist())
     text = (f'OPENQASM 2.0;\ninclude "qelib1.inc";\n// global_phase: {circuit.global_phase:.17g}\n'
             f"qreg q[{circuit.width}];\n{body}")
     if path is not None:

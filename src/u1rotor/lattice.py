@@ -140,7 +140,10 @@ def load_weave(path) -> WeaveMatrix:
         raise ValueError(f"expected {n_p}x{n_p} rows, got shape {rows.shape}")
     if not all(type(x) in (int, float) for x in rows.flat):  # JSON numbers load as these; true as bool
         raise ValueError(f"weave file {path}: rows must hold numbers only")
-    return weave_from_matrix(rows.astype(float))
+    try:
+        return weave_from_matrix(rows.astype(float))
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"weave file {path}: rows hold a number beyond the float range") from None
 
 
 def save_weave(weave: WeaveMatrix, path) -> None:

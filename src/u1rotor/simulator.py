@@ -16,21 +16,25 @@ gate table at a time (index arithmetic per gate, no gate matrices, the
 recorded global phase included); they are the oracle that the fused path is
 tested against.  `read_qasm` parses a whole QASM text, as `export_qasm`
 writes it, into the table's columns at once: after `str.splitlines` and
-`str.strip`, one regex substitution checks every gate line whole, and numpy
-reads the fields from the positions of their delimiters in the text's
-bytes, with no tuple or field string per gate line.  Qubit indices and
-the register width are ASCII digits, and an angle is a Python float
-literal; a gate line with anything else is an unsupported line.  One qreg
-comes before any gate, and the last ``// global_phase:`` comment sets the
-phase.
+`str.strip`, one regex substitution checks every parsed gate line whole,
+and numpy reads the fields from the positions of their delimiters in the
+parsed lines' bytes, with no tuple or field string per gate line.  When at
+most `circuits.QASM_DISTINCT_SHARE` of the first `circuits.QASM_SAMPLE`
+lines are distinct, only the distinct lines are parsed, in first-seen
+order (so the first bad one is the text's first).  Qubit indices and the
+register width are ASCII digits, and an angle is a Python float literal; a
+gate line with anything else is an unsupported line.  One qreg comes
+before any gate, and the text's last ``// global_phase:`` sets the phase.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
 
+from . import circuits
 from .circuits import CU1, CX, GATE_NAMES, H, RZ, SWAP, Circuit, table_error
 from .hamiltonian import HamiltonianModel, dense_matrix, fourier_conjugate, ft_matrix
 from .lattice import r_grid, reserve
@@ -194,16 +198,18 @@ def read_qasm(text: str) -> Circuit:
     gate, and the last ``// global_phase:`` comment, wherever it stands,
     sets the phase.  Every error is a ValueError; one about a line quotes it.
     """
-    raw, gate = _marked_lines(text)
+    raw, parsed_gate, row = _marked_lines(text)
     starts, ends = _lines(np.frombuffer(raw, np.uint8))
 
-    def line_text(i: int) -> str:
-        return raw[starts[i]:ends[i]].decode("utf-8", "surrogatepass")
+    def line_text(i: int, parsed: bool = False) -> str:  # line i of the text or the parsed lines
+        j = i if parsed or row is None else row[i]
+        return raw[starts[j]:ends[j]].decode("utf-8", "surrogatepass")
 
     try:
-        kind, q0, q1, angle = _gate_fields(raw, starts, ends, gate)
+        kind, q0, q1, angle = _gate_fields(raw, starts, ends, parsed_gate)
     except OverflowError as exc:
         raise ValueError(f"qubit index beyond 64 bits: {exc}") from exc
+    gate = parsed_gate if row is None else parsed_gate[row]
     qreg, phase = None, 0.0  # (line, width) of the qreg declaration
     for i in np.flatnonzero(~gate).tolist():
         line = line_text(i)
@@ -222,25 +228,37 @@ def read_qasm(text: str) -> Circuit:
             qreg = i, int(m.group(1))
     if qreg is None:
         raise ValueError("no qreg declaration found")
-    line_of = np.flatnonzero(gate)
-    if len(line_of) and line_of[0] < qreg[0]:
-        raise ValueError(f"gate before qreg declaration: {line_text(line_of[0])!r}")
+    first = np.argmax(gate)
+    if gate.any() and first < qreg[0]:
+        raise ValueError(f"gate before qreg declaration: {line_text(first)!r}")
     error = table_error(qreg[1], kind, q0, q1, angle)
     if error is not None:
-        raise ValueError(f"{error[1]}: {line_text(line_of[error[0]])!r}")
+        raise ValueError(f"{error[1]}: {line_text(np.flatnonzero(parsed_gate)[error[0]], True)!r}")
+    if row is not None:
+        pick = (np.cumsum(parsed_gate) - 1)[row[gate]]
+        kind, q0, q1, angle = (col[pick] for col in (kind, q0, q1, angle))
     return Circuit.from_columns(qreg[1], kind, q0, q1, angle, phase)
 
 
-def _marked_lines(text: str) -> tuple[bytes, np.ndarray]:
-    """The stripped lines of a text as UTF-8, each ended by a newline, and which are gate lines.
+def _marked_lines(text: str) -> tuple[bytes, np.ndarray, np.ndarray | None]:
+    """The parsed lines as UTF-8, each ended by a newline, which are gate lines, and each line's row.
 
-    The lines are those of `str.splitlines`.  One substitution checks every
-    gate line whole against the gate regex and marks it as " ", which no
-    stripped line can be.
+    The parsed lines are the stripped `str.splitlines`, or their distinct ones
+    (see the module docstring), where ``row`` holds each line's index, else None.
+    One substitution checks every parsed gate line whole against the gate
+    regex and marks it as " ", which no stripped line can be.
     """
-    body = "\n".join([*map(str.strip, text.splitlines()), ""])
+    lines = [*map(str.strip, text.splitlines())]
+    sample, row = lines[:circuits.QASM_SAMPLE], None
+    if len(set(sample)) <= circuits.QASM_DISTINCT_SHARE * len(sample):
+        index = dict(zip(dict.fromkeys(lines), itertools.count()))  # in first-seen order
+        row = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
+        lines = list(index)
+    lines.append("")
+    body = "\n".join(lines)
+    del lines, sample  # before the substitution and the encodings
     marks = np.frombuffer(_QASM_GATE.sub(" \n", body).encode("utf-8", "surrogatepass"), np.uint8)
-    return body.encode("utf-8", "surrogatepass"), marks[_lines(marks)[0]] == ord(" ")
+    return body.encode("utf-8", "surrogatepass"), marks[_lines(marks)[0]] == ord(" "), row
 
 
 def _lines(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

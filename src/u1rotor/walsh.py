@@ -225,11 +225,17 @@ def embed(series: WalshSeries, positions: list[int], width: int) -> WalshSeries:
 
 
 def embed_copies(series: WalshSeries, supports: list[list[int]], width: int) -> list[WalshSeries]:
-    """`embed` at each position list in ``supports``; two or more copies move in one pass."""
-    if len(supports) == 1:  # a lone copy moves faster by plain slicing
-        return [embed(series, supports[0], width)]
+    """`embed` at each position list in ``supports``; two or more copies move in one pass.
+
+    Reserves its measured peak, 16 B per moved row and word plus two (a lone
+    copy that `embed` permutes densely fits the budget by `embed`'s rule).
+    """
     for positions in supports:
         _check_positions(positions, series.n, width)
+    lattice.reserve(f"embedding of {len(supports)} x {len(series)} Walsh terms on {width} qubits",
+                    16 * len(supports) * len(series) * (_word_count(width) + 2))
+    if len(supports) == 1:  # a lone copy moves faster by plain slicing
+        return [embed(series, supports[0], width)]
     copies, positions = np.arange(len(supports)), np.array(supports, dtype=np.int64).T
     moved = np.zeros((copies.size, _word_count(width), len(series)), dtype=np.uint64)
     _relocated(series.words, [(copies, word) for word in positions // 64],
@@ -254,6 +260,8 @@ def merge(series_list) -> WalshSeries:
     for s in series_list:
         if s.n != n:
             raise ValueError(f"register width mismatch in merge: {s.n} != {n}")
+    rows = sum(map(len, series_list))  # measured peak: three copies of the words, six of a column
+    lattice.reserve(f"merge of {rows} Walsh terms on {n} qubits", 8 * rows * (3 * _word_count(n) + 6))
     words = np.concatenate([s.words for s in series_list])
     # stable: each mask's contributions stay in series order and sum from 0.0
     order = np.lexsort(words.T)

@@ -544,6 +544,9 @@ ILL_TYPED_ROWS = {
 ILL_TYPED_WEAVES = {name: ["gatecount", "--term", "magnetic", "--np", "3", "--nq", "2", "--basis",
                            "weaved", "--weave", f"{{tmp}}/{name}_weave.json"]
                     for name in ILL_TYPED_ROWS}
+# weave rows holding an integer beyond the float range
+HUGE_WEAVE = ["gatecount", "--term", "magnetic", "--np", "3", "--nq", "2", "--basis", "weaved",
+              "--weave", "{tmp}/huge_weave.json"]
 
 BAD_INPUT_MESSAGES = {
     ("l1", "--nq", "3", "--np", "6", "--qubit-limit", "16"): "above --qubit-limit 16",
@@ -558,6 +561,7 @@ BAD_INPUT_MESSAGES = {
         f"27-qubit term diagonal needs {32 << 27} B, over the {1 << 31} B budget",
     **{tuple(argv): f"{name}_weave.json: rows must hold numbers only"
        for name, argv in ILL_TYPED_WEAVES.items()},
+    tuple(HUGE_WEAVE): "huge_weave.json: rows hold a number beyond the float range",
     ("evolve", "--lattice", "2x2", "--nq", "1", "--g-grid", "1:1:1:lin",
      "--theta-list", "inf"): "cutoff must be non-negative and finite",
     ("export", "--lattice", "2x2", "--nq", "1", "--theta-min", "inf"):
@@ -699,6 +703,8 @@ BAD_INPUT_MESSAGES = {
     # a weave entry that is no JSON number ended in a TypeError traceback (a dict),
     # was read as 1 or 0 (a bool) or reported "not orthogonal ... = nan" (a null)
     *ILL_TYPED_WEAVES.values(),
+    # an integer beyond the float range ended in an OverflowError traceback
+    HUGE_WEAVE,
     # a weave file on the original basis was ignored (every command but
     # gatecount, which read it), and a missing weave failed in three ways
     *ORIGINAL_WITH_WEAVE,
@@ -723,6 +729,8 @@ def test_bad_input_exits_without_table(tmp_path, argv):
     (tmp_path / "bool_np_weave.json").write_text(json.dumps({"n_p": True, "rows": [[1.0]]}))
     for name, rows in ILL_TYPED_ROWS.items():
         (tmp_path / f"{name}_weave.json").write_text(json.dumps({"n_p": 3, "rows": rows}))
+    rows = [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]  # an integer beyond the float range
+    (tmp_path / "huge_weave.json").write_text(json.dumps({"n_p": 3, "rows": rows}))
     message = BAD_INPUT_MESSAGES.get(tuple(argv), "")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     out = tmp_path / "table.csv"

@@ -9,6 +9,7 @@ refused before it allocated any large array.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import u1rotor as u
@@ -103,3 +104,29 @@ def test_a_sweep_batch_fits_the_budget(monkeypatch):
              for k in (0.0, 0.01, 0.1)]
     monkeypatch.setattr(u.lattice, "MEMORY_BUDGET", (4 + 2 * 6) * 16 << model.n_qubits)
     assert _peak(lambda: u.loschmidt_sweep(model, plans)) <= u.lattice.MEMORY_BUDGET
+
+
+@pytest.mark.parametrize("copies, width", [(1, 130), (6, 70), (6, 200)])
+def test_series_assembly_reserves_its_peak(copies, width, reserved, monkeypatch):
+    # embedding and merging reserve their peaks, and a low budget refuses them, named,
+    # before they allocate
+    rng = np.random.default_rng(copies)
+    local = u.series_from_state_values(rng.normal(size=1 << 12), 12)  # 4,096 terms
+    supports = [rng.choice(width, 12, replace=False).tolist() for _ in range(copies)]
+    parts = u.walsh.embed_copies(local, supports, width)
+    calls = {"embedding": lambda: u.walsh.embed_copies(local, supports, width),
+             "merge": lambda: u.merge(parts * 2)}
+    budget = u.lattice.MEMORY_BUDGET
+    for name, call in calls.items():
+        reserved.clear()
+        peak = _peak(call)
+        assert reserved and peak <= sum(reserved)
+        monkeypatch.setattr(u.lattice, "MEMORY_BUDGET", reserved[0] - 1)
+
+        def refused():
+            with pytest.raises(u.ResourceLimitError, match=f"^{name} of .* Walsh terms on {width} "
+                                                           f"qubits needs {reserved[0]} B"):
+                call()
+
+        assert _peak(refused) < MIB
+        monkeypatch.setattr(u.lattice, "MEMORY_BUDGET", budget)
