@@ -83,8 +83,9 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of a circuit, global phase included."""
+    """Dense unitary of a circuit, global phase included (peak: four unitaries, four columns)."""
     dim = 1 << circuit.width
+    reserve(f"{circuit.width}-qubit circuit unitary", (64 << 2 * circuit.width) + 64 * dim)
     return _apply_gates(circuit, np.eye(dim, dtype=complex))
 
 
@@ -93,9 +94,10 @@ def electric_ground_state(model: HamiltonianModel) -> np.ndarray:
 
     Every plaquette register sits at rotor index N/2 (the grid's single
     zero); the per-plaquette Fourier rotation maps the product state to the
-    magnetic basis.
+    magnetic basis.  Reserves its measured peak, the last two product states.
     """
     d = model.digitization
+    reserve(f"{model.n_qubits}-qubit electric ground state", 32 << model.n_qubits)
     big_n = d.n_states
     if big_n % 2 != 0:
         raise ValueError("rotor grid has no zero for odd sample counts")

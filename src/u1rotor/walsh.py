@@ -143,6 +143,7 @@ def inverse_fwt(series: WalshSeries) -> np.ndarray:
 def state_values(series: WalshSeries) -> np.ndarray:
     """Dense diagonal of a series in plain register order."""
     n = series.n
+    lattice.reserve(f"{n}-qubit series diagonal", (20 << n) + 4096)  # array, 3 half arrays
     coeffs = np.zeros(1 << n)
     coeffs[series.words[:, 0].astype(np.intp)] = series.coeffs
     _fwht_inplace(coeffs)
@@ -175,12 +176,6 @@ def sequency_order(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.where(nonzero.any(axis=1), msb, -1)
 
 
-def _relocated(words: np.ndarray, rows, shifts, moved: np.ndarray) -> None:
-    """OR local bit ``i`` of every mask into ``moved[rows[i]]`` at bit ``shifts[i]``."""
-    for i, (row, shift) in enumerate(zip(rows, shifts)):
-        moved[row] |= ((words[:, i // 64] >> (i % 64)) & 1) << shift
-
-
 def _check_positions(positions: list[int], n: int, width: int) -> None:
     if len(positions) != n:
         raise ValueError(f"need {n} positions for an n={n} series, got {len(positions)}")
@@ -192,11 +187,10 @@ def _check_positions(positions: list[int], n: int, width: int) -> None:
 
 
 def _permuted(series: WalshSeries, positions: list[int]) -> WalshSeries:
-    """`embed` onto the series' own register: one transpose of the dense coefficient array.
+    """One copy onto the series' own register: a transpose of the dense coefficient array.
 
-    Axis ``a`` of the ``(2,)*n`` view holds mask bit ``n - 1 - a``, so output
-    bit ``positions[i]`` reads input axis ``n - 1 - i``.  Values move without
-    rounding, and `flatnonzero` lists the rows in ascending mask order.
+    Axis ``a`` of the ``(2,)*n`` view holds mask bit ``n - 1 - a``, so output bit
+    ``positions[i]`` reads input axis ``n - 1 - i``; `flatnonzero` sorts the rows.
     """
     n = series.n
     source = (n - 1 - np.argsort(positions))[::-1]  # input axis of each output axis
@@ -204,44 +198,47 @@ def _permuted(series: WalshSeries, positions: list[int]) -> WalshSeries:
     dense[series.words[:, 0].astype(np.intp)] = series.coeffs
     dense = dense.reshape((2,) * n).transpose(source).ravel()
     rows = np.flatnonzero(dense)
-    return WalshSeries._of(n, rows.astype(np.uint64).reshape(-1, 1), dense[rows])
+    return WalshSeries._of(n, rows.view(np.uint64).reshape(-1, 1), dense[rows])
 
 
 def embed(series: WalshSeries, positions: list[int], width: int) -> WalshSeries:
-    """Relocate a series onto a wider register.
-
-    Bit ``i`` of every mask moves to qubit ``positions[i]``; coefficients are
-    untouched.  Positions must be distinct and inside the target register.
-    A permutation within `lattice.MEMORY_BUDGET` (four dense arrays) moves the
-    dense coefficient array instead (`_permuted`); both move values exactly.
-    """
-    _check_positions(positions, series.n, width)
-    if series.n == width and 32 << width <= lattice.MEMORY_BUDGET:
-        return _permuted(series, positions)
-    moved = np.zeros((len(series), _word_count(width)), dtype=np.uint64)
-    _relocated(series.words, [p // 64 for p in positions], [p % 64 for p in positions], moved.T)
-    order = np.lexsort(moved.T)
-    return WalshSeries._of(width, moved[order], series.coeffs[order])
+    """`embed_copies` at the one support ``positions``."""
+    return embed_copies(series, [positions], width)[0]
 
 
 def embed_copies(series: WalshSeries, supports: list[list[int]], width: int) -> list[WalshSeries]:
-    """`embed` at each position list in ``supports``; two or more copies move in one pass.
+    """A copy of the series on ``width`` qubits per support, its mask bit ``i`` at ``positions[i]``.
 
-    Reserves its measured peak, 16 B per moved row and word plus two (a lone
-    copy that `embed` permutes densely fits the budget by `embed`'s rule).
+    Positions must be distinct and inside the register.  Supports that span the
+    series' own register are permuted densely (`_permuted`) while that array and
+    its transpose leave room in `lattice.MEMORY_BUDGET`; every other call
+    scatters the mask bits of all copies at once.  Both move values exactly and
+    first reserve their measured peak, 512 B per copy and 4 KiB of objects included.
     """
+    n, copies, rows = series.n, len(supports), len(series)
     for positions in supports:
-        _check_positions(positions, series.n, width)
-    lattice.reserve(f"embedding of {len(supports)} x {len(series)} Walsh terms on {width} qubits",
-                    16 * len(supports) * len(series) * (_word_count(width) + 2))
-    if len(supports) == 1:  # a lone copy moves faster by plain slicing
-        return [embed(series, supports[0], width)]
-    copies, positions = np.arange(len(supports)), np.array(supports, dtype=np.int64).T
-    moved = np.zeros((copies.size, _word_count(width), len(series)), dtype=np.uint64)
-    _relocated(series.words, [(copies, word) for word in positions // 64],
-               (positions % 64).astype(np.uint64)[..., None], moved)
+        _check_positions(positions, n, width)
+    what = f"embedding of {copies} x {rows} Walsh terms on {width} qubits"
+    if n == width and 16 << width < lattice.MEMORY_BUDGET:
+        # one copy's array and its transpose, or the array, its rows and their values
+        lattice.reserve(what, max(16 << width, (8 << width) + 16 * rows)
+                        + 16 * rows * (copies - 1) + 512 * copies + 4096)
+        return [_permuted(series, positions) for positions in supports]
+    # per row and word: the moved and sorted words, one bit's products and numpy's buffers
+    words = _word_count(width)
+    lattice.reserve(what, 16 * copies * (words * (2 * rows + n) + 2 * rows + 32) + n * rows + 4096)
+    # place[c, w, i]: local bit i's bit in word w of copy c (0 where the shift wraps or passes 63)
+    pos = np.array(supports, dtype=np.uint64).reshape(copies, 1, n)
+    place = pos - np.arange(0, 64 * words, 64, dtype=np.uint64)[:, None]
+    np.left_shift(np.uint64(1), place, out=place)
+    bits = np.unpackbits(series.words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=n, bitorder="little")
+    moved = np.zeros((copies * words, rows), dtype=np.uint64)
+    for to, bit in zip(place.reshape(copies * words, n).T, bits.T):
+        moved |= to[:, None] * bit.astype(np.uint64)
+    moved = moved.reshape(copies, words, rows)
     order = np.lexsort(moved.transpose(1, 0, 2))  # each copy sorted on its own
-    moved = moved.transpose(0, 2, 1)[copies[:, None], order]
+    moved = moved.transpose(0, 2, 1)[np.arange(copies)[:, None], order]
     return [WalshSeries._of(width, w, c) for w, c in zip(moved, series.coeffs[order])]
 
 

@@ -43,6 +43,22 @@ def _term(width):
     return lambda: term_series(u.BilinearTerm("BB", 0, 1, 1.0), d, 1.0)
 
 
+def _diagonal(call, n):
+    series = u.WalshSeries(n, {0: 0.5, 1 << (n - 1): -0.25, (1 << n) - 1: 0.125})
+    return lambda: call(series)
+
+
+def _ground_state(lat, n_q):
+    model = _model(lat, n_q)
+    return lambda: u.electric_ground_state(model)
+
+
+def _unitary(width):
+    gates = [u.Gate("h", (width - 1,)), u.Gate("rz", (0,), 0.3), u.Gate("cx", (0, width - 1)),
+             u.Gate("cu1", (1, width - 1), 0.3), u.Gate("swap", (0, width - 1))]
+    return lambda: u.circuit_unitary(u.Circuit(width, gates))
+
+
 # entry point -> two sizes that run in well under a second each
 CALLS = {
     "term_series-16": _term(16),
@@ -65,6 +81,14 @@ CALLS = {
     "loschmidt_sweep-16": _loschmidt(u.LatticeSpec(3, 3), 2),
     "product_scaling_study-16": lambda: product_scaling_study(2, 8, 0.1),
     "product_scaling_study-18": lambda: product_scaling_study(3, 6, 0.1),
+    "state_values-16": _diagonal(u.state_values, 16),
+    "state_values-18": _diagonal(u.state_values, 18),
+    "inverse_fwt-16": _diagonal(u.inverse_fwt, 16),
+    "inverse_fwt-18": _diagonal(u.inverse_fwt, 18),
+    "electric_ground_state-16": _ground_state(u.LatticeSpec(3, 3), 2),
+    "electric_ground_state-18": _ground_state(u.LatticeSpec(2, 5), 2),
+    "circuit_unitary-8": _unitary(8),
+    "circuit_unitary-9": _unitary(9),
 }
 
 
@@ -106,13 +130,19 @@ def test_a_sweep_batch_fits_the_budget(monkeypatch):
     assert _peak(lambda: u.loschmidt_sweep(model, plans)) <= u.lattice.MEMORY_BUDGET
 
 
-@pytest.mark.parametrize("copies, width", [(1, 130), (6, 70), (6, 200)])
-def test_series_assembly_reserves_its_peak(copies, width, reserved, monkeypatch):
+@pytest.mark.parametrize("copies, n, rows, width",
+                         [(1, 12, 4096, 130), (6, 12, 4096, 70), (6, 12, 4096, 200),
+                          (1, 20, 100, 20), (3, 18, 100, 18)])
+def test_series_assembly_reserves_its_peak(copies, n, rows, width, reserved, monkeypatch):
     # embedding and merging reserve their peaks, and a low budget refuses them, named,
-    # before they allocate
+    # before they allocate; a sparse series on its own register is permuted densely
     rng = np.random.default_rng(copies)
-    local = u.series_from_state_values(rng.normal(size=1 << 12), 12)  # 4,096 terms
-    supports = [rng.choice(width, 12, replace=False).tolist() for _ in range(copies)]
+    if rows == 1 << n:
+        local = u.series_from_state_values(rng.normal(size=rows), n)
+    else:
+        masks = rng.choice(1 << n, size=rows, replace=False).tolist()
+        local = u.WalshSeries(n, dict(zip(masks, rng.normal(size=rows).tolist())))
+    supports = [rng.choice(width, n, replace=False).tolist() for _ in range(copies)]
     parts = u.walsh.embed_copies(local, supports, width)
     calls = {"embedding": lambda: u.walsh.embed_copies(local, supports, width),
              "merge": lambda: u.merge(parts * 2)}

@@ -158,6 +158,18 @@ def test_embed():
         u.embed(u.WalshSeries(2, {3: 1.0}), [0, 5], 3)
 
 
+def _bitwise_embedding(series, positions):
+    """(mask, coefficient) pairs of ``series`` relocated by Python-int bit moves, sorted."""
+    moved = {}
+    for mask, coeff in series.items():
+        new = 0
+        for i, p in enumerate(positions):
+            if (mask >> i) & 1:
+                new |= 1 << p
+        moved[new] = coeff
+    return sorted(moved.items())
+
+
 def test_embed_matches_bitwise_reference(rng):
     # masks wider than one byte, registers wider than 64 qubits, and the last
     # ten cases permute the series' own register
@@ -166,35 +178,31 @@ def test_embed_matches_bitwise_reference(rng):
         width = int(rng.integers(n, 130)) if case < 30 else n
         positions = [int(p) for p in rng.choice(width, size=n, replace=False)]
         series = random_series(rng, n, density=min(1.0, 300 / (1 << n)))
-        expected = {}
-        for mask, coeff in series.items():
-            new = 0
-            for i in range(n):
-                if (mask >> i) & 1:
-                    new |= 1 << positions[i]
-            expected[new] = coeff
-        assert u.embed(series, positions, width).items() == sorted(expected.items())
+        assert u.embed(series, positions, width).items() == _bitwise_embedding(series, positions)
 
 
-def test_embed_copies_match_embed(rng):
-    # every copy is the series embed makes alone, sorted rows and all, past 64 qubits too
-    for _ in range(30):
+def test_embed_copies_match_bitwise_reference(rng):
+    # 2-6 copies, registers past 64 and 128 qubits, and (every fourth case) several
+    # copies permuted on the series' own register; words and coefficients bit for bit
+    for case in range(40):
         n = int(rng.integers(1, 13))
-        width = int(rng.integers(n, 140))
+        width = n if case % 4 == 3 else int(rng.integers(n, 200))
         series = random_series(rng, n, density=min(1.0, 200 / (1 << n)))
         supports = [[int(p) for p in rng.choice(width, size=n, replace=False)]
-                    for _ in range(int(rng.integers(2, 6)))]
+                    for _ in range(int(rng.integers(2, 7)))]
         copies = embed_copies(series, supports, width)
         assert len(copies) == len(supports)
         for copy, positions in zip(copies, supports):
-            alone = u.embed(series, positions, width)
-            assert copy.words.shape == alone.words.shape
-            assert copy.words.tobytes() == alone.words.tobytes()
-            assert copy.coeffs.tobytes() == alone.coeffs.tobytes()
+            expected = _bitwise_embedding(series, positions)
+            assert copy.n == width and copy.words.shape == (len(expected), -(-width // 64))
+            assert copy.items() == expected
+            assert copy.coeffs.tobytes() == np.array([c for _, c in expected]).tobytes()
     with pytest.raises(ValueError, match="collision"):
         embed_copies(u.WalshSeries(2, {3: 1.0}), [[0, 1], [2, 2]], 3)
     with pytest.raises(ValueError, match="outside"):
         embed_copies(u.WalshSeries(2, {3: 1.0}), [[0, 1], [2, 3]], 3)
+    with pytest.raises(ValueError, match="need 2 positions"):
+        embed_copies(u.WalshSeries(2, {3: 1.0}), [[0, 1], [2]], 3)
 
 
 @st.composite
