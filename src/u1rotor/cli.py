@@ -35,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .circuits import export_qasm, sequency_sweep_counts
+from .circuits import export_qasm
 from .hamiltonian import (
     CosineTerm,
     build_model,
@@ -57,8 +57,8 @@ from .trotter import (
     SPLITTING,
     ThetaPolicy,
     TrotterPlan,
+    cosine_sweep_counts,
     factor_sweep_counts,
-    hamiltonian_series,
     product_scaling_study,
     step_circuit,
     term_series,
@@ -349,12 +349,11 @@ def cmd_gatecount(args) -> int:
         p, q, g = key
         weave, cutoffs = weaves[p], [cutoff for _, k, cutoff in points if k == key]
         if term == "cosine":
-            series = hamiltonian_series([_bare_cosine(1, g)], digitize(1, q, g, "compact"), dt)
-            return sequency_sweep_counts(series, cutoffs)
+            return cosine_sweep_counts([_bare_cosine(1, g)], digitize(1, q, g, "compact"), dt,
+                                       cutoffs)
         d = digitize(p, q, g, formulation, basis, weave)
         if term == "maximal":  # the constraint row's cosine alone, not a step factor
-            return sequency_sweep_counts(hamiltonian_series(magnetic_terms(d, weave)[-1:], d, -dt),
-                                         cutoffs)
+            return cosine_sweep_counts(magnetic_terms(d, weave)[-1:], d, -dt, cutoffs)
         names = {"electric": "E", "magnetic": "B", "step": SPLITTING[args.order]}[term]
         return factor_sweep_counts(lattice, d, weave, plan, names, cutoffs)
 
@@ -527,7 +526,8 @@ _COMMANDS = {
         lattice=_REQUIRED, nq=3, g_grid="0.01:10:20:log", weave=None, scan_bmax=False,
         format="csv", out=None, workers=1, config=None)),
     "gatecount": (cmd_gatecount, "gate counts along a sweep axis (electric and "
-                  "non-compact counts have no qubit cap below n_q = 1024)", dict(
+                  "non-compact counts have no qubit cap below n_q = 1024, compact counts "
+                  "at positive cutoffs none but the memory budget)", dict(
         axis="theta", term="magnetic", lattice=None, nqs=None, nps=None, g=0.1,
         g_grid="0.1:10:15:log", theta_grid=[2.0**-k for k in range(13)],
         formulation="compact", basis="original", weave=None, dt=1.0, order=1, theta_min=0.0,

@@ -23,6 +23,7 @@ import numpy as np
 from .circuits import Circuit, exact_circuit, qft_circuit, sequency_sweep_counts
 from .hamiltonian import (
     _COUPLING_TOL,
+    CosineTerm,
     HamiltonianModel,
     diagonal_of_term,
     electric_quadratic_form,
@@ -34,8 +35,8 @@ from .hamiltonian import (
     operator_diagonals,
 )
 from .lattice import _is_integer, b_grid, digitize, embed_positions, reserve
-from .walsh import (PRUNE_TOL, WalshSeries, check_cutoff, embed, embed_copies, fwt, merge,
-                    threshold_truncate)
+from .walsh import (PRUNE_TOL, WalshSeries, _fwht_inplace, _word_count, _words, check_cutoff,
+                    embed, embed_copies, fwt, merge, threshold_truncate)
 
 # Each order's diagonal factors as applied to the state: "E" electric, "B" magnetic
 SPLITTING = {1: "BE", 2: "EBE"}
@@ -147,6 +148,157 @@ def quadratic_sweep_counts(q, d, kind: str, scale: float, thetas) -> list[dict[s
     return counts
 
 
+def _placed(local, p, n_q, words, what):
+    """Mask words holding each value of ``local`` in plaquette p's register bits."""
+    reserve(f"{what}: {local.size} plaquette fields", local.size * (32 + 8 * words) + 4096)
+    masks = np.zeros((local.size, words), dtype=np.uint64)
+    word, shift = divmod(p * n_q, 64)
+    masks[:, word] = local.astype(np.uint64) << np.uint64(shift)
+    if shift + n_q > 64:  # the plaquette's bits straddle two words
+        masks[:, word + 1] = local.astype(np.uint64) >> np.uint64(64 - shift)
+    return masks
+
+
+def _fields(masks, p, n_q):
+    """Plaquette p's register bits of each mask row, as integers below 2^n_q."""
+    word, shift = divmod(p * n_q, 64)
+    field = masks[:, word] >> np.uint64(shift)
+    if shift + n_q > 64:
+        field |= masks[:, word + 1] << np.uint64(64 - shift)
+    return (field & np.uint64((1 << n_q) - 1)).astype(np.intp)
+
+
+def _expand(plaquettes, transforms, outside, floor, n_q, words, what):
+    """(products, mask words) of the Z over ``plaquettes`` whose |product| can reach ``floor``.
+
+    A product is kept while its magnitude times ``outside`` (|P| and the largest |Z|
+    of every other plaquette) reaches ``floor``.  The two halves of the plaquettes are
+    expanded on their own, each bounded by the other's largest product, and then
+    paired: the pairs are counted, and reserved, before they are built.
+    """
+    if len(plaquettes) == 1:
+        local = np.flatnonzero(np.abs(transforms[0]) * outside >= floor)
+        return transforms[0][local], _placed(local, plaquettes[0], n_q, words, what)
+    half, tops = len(plaquettes) // 2, [np.abs(z).max() for z in transforms]
+    left_z, left = _expand(plaquettes[:half], transforms[:half], outside * math.prod(tops[half:]),
+                           floor, n_q, words, what)
+    right_z, right = _expand(plaquettes[half:], transforms[half:], outside * math.prod(tops[:half]),
+                             floor, n_q, words, what)
+    right_size = np.abs(right_z)
+    ranked = np.argsort(-right_size, kind="stable")
+    with np.errstate(divide="ignore", over="ignore"):
+        fan = np.searchsorted(-right_size[ranked], -(floor / (np.abs(left_z) * outside)),
+                              side="right")
+    total = int(fan.sum())
+    # both halves' row indices and their repeats, the products and their mask words
+    reserve(f"{what}: {total} partial products", total * (64 + 16 * words) + 4096)
+    pick = np.repeat(np.arange(len(fan)), fan)
+    paired = ranked[np.arange(total) - np.repeat(np.cumsum(fan) - fan, fan)]
+    return left_z[pick] * right_z[paired], left[pick] | right[paired]
+
+
+def _pruned_cosine_series(terms, d, scale: float, theta_min: float) -> WalshSeries:
+    """The entries of the series of scale * sum(terms), cosine rows, with |a| >= theta_min / 2.
+
+    Row r, scale * prefactor / g^2 * cos(sum_p c_p B_p), is Re P_r prod_p exp(i c_p B_p),
+    and the transform of a product over disjoint registers is the product of the
+    per-register transforms: its coefficient at a mask with plaquette fields m_p is
+    Re P_r prod_p Z_rp[m_p], Z_rp the 2^n_q-point transform of exp(i c_p B_p).  A row
+    on one plaquette keeps all its masks.  A mask that no such row reaches is reached
+    only by rows of two or more plaquettes holding all of its plaquettes, so by at most
+    K rows, K the most such rows that any one plaquette is in; |a| >= theta_min / 2
+    then needs one of them with |P_r| prod_p |Z_rp[m_p]| >= theta_min / (2K), since
+    |Re prod z| <= prod |z|.  Those rows' products that can reach that floor are found
+    by `_expand`.  At the union of the rows' masks each row is summed in, from its own
+    products or, where it found none, from its Z.  Where K is 1, no other row of two
+    or more plaquettes reaches a row's masks, so a product whose own term is below
+    theta_min / 2 is left out: its mask is either this row's alone, and not kept, or a
+    one-plaquette row's, where this row is summed in from its Z.  Mask 0, the global
+    phase, may be missing or partly summed.
+    """
+    n_q, width = d.n_q, d.n_p * d.n_q
+    wide = [term.plaquettes for term in terms if len(term.plaquettes) > 1]
+    reach = np.bincount([p for plaquettes in wide for p in plaquettes], minlength=d.n_p)
+    words, floor = _word_count(width), theta_min / (2.0 * max(reach.max(), 1))
+    what, tables = f"{width}-qubit cosine count", {}
+
+    def transform(c, p):
+        """Z of exp(i c B_p), shared by equal (c, b_max)."""
+        key = (c, float(d.b_max[p]))
+        if key not in tables:
+            reserve(f"{n_q}-qubit plaquette transform", 48 << n_q)  # Z, samples, halves
+            z = np.exp(1j * c * b_grid(d, p))
+            _fwht_inplace(z)
+            tables[key] = z / (1 << n_q)
+        return tables[key]
+
+    rows, found = [], []  # (P_r, plaquettes, Z_rp per plaquette) and (products, masks) per row
+    for term in terms:
+        if not isinstance(term, CosineTerm):
+            raise ValueError(f"cosine counts take cosine terms only, got {type(term).__name__}")
+        p_row, plaquettes = scale * term.prefactor / d.g**2, term.plaquettes
+        z_row = [transform(c, p) for p, c in term.support]
+        rows.append((p_row, plaquettes, z_row))
+        if len(plaquettes) == 1:
+            fields = np.arange(1, 1 << n_q)
+            found.append((z_row[0][fields], _placed(fields, plaquettes[0], n_q, words, what)))
+        else:
+            z, masks = _expand(plaquettes, z_row, abs(p_row), floor, n_q, words, what)
+            if reach.max() == 1:
+                keep = np.abs((p_row * z).real) >= theta_min / 2.0
+                z, masks = z[keep], masks[keep]
+            found.append((z, masks))
+    count = sum(len(masks) for _, masks in found)
+    # the joined and sorted words and values, their order, union and row flags
+    reserve(f"{what}: {count} candidates", count * (32 * words + 80) + 4096)
+    joined = np.concatenate([masks for _, masks in found])
+    order = np.lexsort(joined.T)
+    joined = joined[order]
+    first = np.ones(count, dtype=bool)
+    first[1:] = (joined[1:] != joined[:-1]).any(axis=1)
+    union = np.empty(count, dtype=np.intp)
+    union[order] = np.cumsum(first) - 1  # each joined row's place in the union
+    masks = joined[first]
+    values = np.concatenate([(p_row * z).real for (p_row, _, _), (z, _) in zip(rows, found)])
+    coeffs = np.bincount(union, weights=values, minlength=len(masks)).astype(float)
+    used = {p for _, plaquettes, _ in rows for p in plaquettes}
+    ends = np.cumsum([len(own) for _, own in found])
+    for (p_row, plaquettes, z_row), end, (_, own) in zip(rows, ends, found):
+        if len(plaquettes) == 1:
+            continue
+        missing = np.ones(len(masks), dtype=bool)  # the masks this row reaches ...
+        if set(plaquettes) != used:
+            support = _words([sum(((1 << n_q) - 1) << p * n_q for p in plaquettes)], width)[0]
+            for column, bits in zip(masks.T, ~support):
+                missing &= (column & bits) == 0
+        missing[union[end - len(own):end]] = False  # ... but did not find
+        missing = np.flatnonzero(missing)
+        value = np.full(missing.size, complex(p_row))
+        for p, z in zip(plaquettes, z_row):
+            value *= z[_fields(masks[missing], p, n_q)]
+        coeffs[missing] += value.real
+    keep = (np.abs(coeffs) >= theta_min / 2.0) & (np.abs(coeffs) > PRUNE_TOL)
+    return WalshSeries._of(width, masks[keep], coeffs[keep])
+
+
+def cosine_sweep_counts(terms, d, scale: float, thetas) -> list[dict[str, int]]:
+    """`sequency_sweep_counts` of the series of scale * sum(terms), cosine rows, without it.
+
+    Once every cutoff is positive the rows are counted from `_pruned_cosine_series`
+    at the smallest, with no register diagonal or full transform, at any width the
+    memory budget holds.  Tie rule: a mask is kept when |a| >= theta / 2 and
+    |a| > `PRUNE_TOL`; the counts differ from the series path's only where theta / 2
+    is within rounding of an |a|.  A zero cutoff keeps every mask, so nothing can be
+    pruned: there the series is built.
+    """
+    thetas, terms = [check_cutoff(theta) for theta in thetas], list(terms)
+    if not thetas:
+        return []
+    if min(thetas) == 0 or not terms:
+        return sequency_sweep_counts(hamiltonian_series(terms, d, scale), thetas)
+    return sequency_sweep_counts(_pruned_cosine_series(terms, d, scale, min(thetas)), thetas)
+
+
 def _share(plan: TrotterPlan, name: str) -> float:
     """-dt over the times `SPLITTING` applies factor ``name``: -dt/2 for "E" at order 2."""
     return -plan.dt / SPLITTING[plan.order].count(name)
@@ -163,12 +315,12 @@ def factor_sweep_counts(lattice, d, weave, plan: TrotterPlan, names: str, thetas
 
     Each carries its `_share` of -dt.  The electric and non-compact magnetic factors
     are counted by `quadratic_sweep_counts` at any width, the compact magnetic cosines
-    by `sequency_sweep_counts` of their series; ``lattice`` is read for "E" only.
+    by `cosine_sweep_counts`, at any width once every cutoff is positive; ``lattice``
+    is read for "E" only.
     """
     def counts(name):
         if name == "B" and d.formulation == "compact":
-            series = hamiltonian_series(magnetic_terms(d, weave), d, _share(plan, name))
-            return sequency_sweep_counts(series, thetas)
+            return cosine_sweep_counts(magnetic_terms(d, weave), d, _share(plan, name), thetas)
         q, kind = ((electric_quadratic_form(lattice, weave), "RR") if name == "E"
                    else (magnetic_quadratic_form(d.n_p, weave), "BB"))
         return quadratic_sweep_counts(q, d, kind, _share(plan, name), thetas)

@@ -192,10 +192,20 @@ def test_criterion_10_original_basis_truncated_scaling():
             counts.append(u.sequency_gate_counts(series, ratio)["cx"])
         slopes.append(float(np.polyfit(np.log(nps), np.log(counts), 1)[0]))
     ok = all(2.5 <= s <= 4.5 for s in slopes)
+    # reported, not asserted: the local slopes at n_p = 7..11 (up to 33 qubits)
+    wide = np.arange(7, 12)
+    local = []
+    for ratio in (0.125, 0.25, 0.5):
+        counts = []
+        for n_p in wide:
+            d = u.digitize(int(n_p), 3, 0.1, "compact")
+            counts.append(u.cosine_sweep_counts(u.magnetic_terms(d)[-1:], d, -1.0, [ratio])[0]["cx"])
+        local.append(float(np.polyfit(np.log(wide), np.log(counts), 1)[0]))
     _report(
         10,
         "maximal-term CNOT slopes " + ", ".join(f"{s:.3f}" for s in slopes)
-        + " in [2.5, 4.5] (ratio taken as the Rz cutoff at dt=1)",
+        + " in [2.5, 4.5] (ratio taken as the Rz cutoff at dt=1); at n_p = 7..11: "
+        + ", ".join(f"{s:.3f}" for s in local),
         ok,
     )
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -363,34 +364,40 @@ def test_gatecount_reads_the_weave_file_once(tmp_path, monkeypatch):
     assert len(rows) == 13
 
 
-@pytest.mark.parametrize("term, builder, argv", [
-    ("magnetic", "hamiltonian_series", ["--np", "3"]),
-    ("step", "hamiltonian_series", ["--lattice", "2x2", "--order", "2"]),
+@pytest.mark.parametrize("term, argv", [
+    ("magnetic", ["--np", "3"]),
+    ("step", ["--lattice", "2x2", "--order", "2"]),
 ])
-def test_gatecount_theta_sweep_builds_one_series(tmp_path, monkeypatch, term, builder, argv):
-    # the default 13-point theta grid is counted from one series: the compact
-    # magnetic factor's (the step's electric factor is counted from its form)
+def test_gatecount_theta_sweep_builds_one_series(tmp_path, monkeypatch, term, argv):
+    # the default 13-point theta grid holds positive cutoffs only: the compact magnetic
+    # factor is counted from its per-plaquette transforms, with no series (the step's
+    # electric factor is counted from its form); a grid holding 0 builds one series
     import u1rotor.trotter as trotter
 
     builds = []
-    build = getattr(trotter, builder)
+    build = trotter.hamiltonian_series
 
     def spy(*args):
         builds.append(args)
         return build(*args)
 
-    monkeypatch.setattr(trotter, builder, spy)
+    def refuse(*args):
+        raise AssertionError("a positive-cutoff cosine count built a series")
+
     base = ["gatecount", "--axis", "theta", "--term", term, "--nq", "2", "--g", "0.7",
             "--dt", "0.2", *argv, "--format", "json"]
-    out = tmp_path / "sweep.json"
-    main(base + ["--out", str(out)])
-    rows = json.loads(out.read_text())["rows"]
-    assert len(builds) == 1 and len(rows) == 13
-    # each row is the count of a run at its cutoff alone
-    for row in rows:
-        alone = tmp_path / "alone.json"
-        main(base + ["--theta-grid", repr(row[0]), "--out", str(alone)])
-        assert json.loads(alone.read_text())["rows"] == [row]
+    for grid, builder, built in (([], refuse, 0), (["--theta-grid", "0,0.25,1"], spy, 1)):
+        monkeypatch.setattr(trotter, "hamiltonian_series", builder)
+        out = tmp_path / "sweep.json"
+        main(base + grid + ["--out", str(out)])
+        rows = json.loads(out.read_text())["rows"]
+        assert len(builds) == built and len(rows) == (3 if grid else 13)
+        # each row is the count of a run at its cutoff alone
+        monkeypatch.setattr(trotter, "hamiltonian_series", build)
+        for row in rows:
+            alone = tmp_path / "alone.json"
+            main(base + ["--theta-grid", repr(row[0]), "--out", str(alone)])
+            assert json.loads(alone.read_text())["rows"] == [row]
 
 
 @pytest.mark.parametrize("argv", [
@@ -407,8 +414,8 @@ def test_gatecount_counts_quadratic_factors_without_a_series(tmp_path, monkeypat
     def refuse(*args):
         raise AssertionError("a quadratic factor's count built a model or a series")
 
-    for module, builder in [(cli, "build_model"), (cli, "hamiltonian_series"),
-                            (trotter, "hamiltonian_series"), (trotter, "factor_series")]:
+    for module, builder in [(cli, "build_model"), (trotter, "hamiltonian_series"),
+                            (trotter, "factor_series")]:
         monkeypatch.setattr(module, builder, refuse)
     out = tmp_path / "sweep.json"
     main(["gatecount", "--axis", "theta", "--nq", "2", "--g", "0.7", "--dt", "0.2", *argv,
@@ -429,6 +436,31 @@ def test_gatecount_counts_a_32x32_step(tmp_path):
     magnetic = {"rz": n + n * (n - 1) // 2, "cx": n * (n - 1)}
     row = json.loads(out.read_text())["rows"][0]
     assert row[1:3] == [2 * electric["rz"] + magnetic["rz"], 2 * electric["cx"] + magnetic["cx"]]
+
+
+def test_gatecount_counts_maximal_cosines_to_33_qubits(tmp_path):
+    # above the 26-qubit term diagonal: the pruned product counts n_p = 7..11 at once
+    out = tmp_path / "maximal.json"
+    start = time.process_time()
+    main(["gatecount", "--term", "maximal", "--axis", "np", "--np", "7:11", "--nq", "3",
+          "--theta-min", "0.125", "--theta-min-policy", "dt", "--dt", "1", "--format", "json",
+          "--out", str(out)])
+    assert time.process_time() - start < 1.0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row[0] for row in rows] == list(range(7, 12))
+    assert all(a[1] < b[1] and a[2] < b[2] for a, b in zip(rows, rows[1:]))
+
+
+def test_gatecount_counts_a_compact_8x8_step(tmp_path):
+    # 126 qubits: the compact magnetic factor from its per-plaquette transforms, the
+    # electric factor from its form; fewer gates at each higher cutoff
+    out = tmp_path / "step.json"
+    main(["gatecount", "--axis", "theta", "--term", "step", "--lattice", "8x8", "--nq", "2",
+          "--g", "0.28", "--order", "2", "--theta-grid", "1e-3,4e-3,0.3", "--format", "json",
+          "--out", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 3 and rows[-1][1] > 0
+    assert all(a[1] > b[1] and a[2] > b[2] for a, b in zip(rows, rows[1:]))
 
 
 def test_evolve_builds_one_model_per_coupling_and_one_series_per_step(tmp_path, monkeypatch):
@@ -559,6 +591,8 @@ BAD_INPUT_MESSAGES = {
         f"27-qubit product needs {64 << 27} B, over the {1 << 31} B budget",
     ("gatecount", "--term", "maximal", "--axis", "np", "--np", "9", "--nq", "3"):
         f"27-qubit term diagonal needs {32 << 27} B, over the {1 << 31} B budget",
+    ("gatecount", "--term", "maximal", "--axis", "np", "--np", "9", "--nq", "3", "--theta-min",
+     "1e-300"): f"27-qubit cosine count: {8**9} partial products needs",
     **{tuple(argv): f"{name}_weave.json: rows must hold numbers only"
        for name, argv in ILL_TYPED_WEAVES.items()},
     tuple(HUGE_WEAVE): "huge_weave.json: rows hold a number beyond the float range",
@@ -605,6 +639,10 @@ BAD_INPUT_MESSAGES = {
     ["spectrum", "--lattice", "2x2", "--nq", "2", "--formulation", "compact"],
     # 27 qubits, above the memory budget's 26-qubit terms: a one-line message, not a traceback
     ["gatecount", "--term", "maximal", "--axis", "np", "--np", "9", "--nq", "3"],
+    # a cutoff so small that nothing is pruned: the 8^9 products are counted, and
+    # refused, before any is built
+    ["gatecount", "--term", "maximal", "--axis", "np", "--np", "9", "--nq", "3",
+     "--theta-min", "1e-300"],
     # a NaN coupling made every coefficient NaN, so every term was pruned
     ["gatecount", "--term", "cosine", "--axis", "theta", "--nq", "2", "--g", "nan",
      "--theta-grid", "0"],

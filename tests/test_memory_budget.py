@@ -48,6 +48,12 @@ def _diagonal(call, n):
     return lambda: call(series)
 
 
+def _cosine(n_p, n_q, theta):
+    # the maximal cosine at a cutoff low enough to keep most of its masks
+    d = u.digitize(n_p, n_q, 0.7, "compact")
+    return lambda: u.cosine_sweep_counts(u.magnetic_terms(d)[-1:], d, -1.0, [theta])
+
+
 def _ground_state(lat, n_q):
     model = _model(lat, n_q)
     return lambda: u.electric_ground_state(model)
@@ -85,6 +91,8 @@ CALLS = {
     "state_values-18": _diagonal(u.state_values, 18),
     "inverse_fwt-16": _diagonal(u.inverse_fwt, 16),
     "inverse_fwt-18": _diagonal(u.inverse_fwt, 18),
+    "cosine_sweep_counts-16": _cosine(8, 2, 1e-12),
+    "cosine_sweep_counts-18": _cosine(6, 3, 1e-12),
     "electric_ground_state-16": _ground_state(u.LatticeSpec(3, 3), 2),
     "electric_ground_state-18": _ground_state(u.LatticeSpec(2, 5), 2),
     "circuit_unitary-8": _unitary(8),

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 import u1rotor as u
 from u1rotor.hamiltonian import local_form
 from u1rotor.trotter import (
+    _pruned_cosine_series,
+    cosine_sweep_counts,
     factor_series,
     product_scaling_study,
     quadratic_sweep_counts,
@@ -453,3 +455,114 @@ def test_quadratic_counts_leave_out_the_series_roundoff_at_cutoff_zero():
     walsh = u.sequency_sweep_counts(series, [0.0, 1e-14])
     assert closed[0] == closed[1] == walsh[1] == {"rz": 554, "cx": 1076}
     assert roundoff > 0 and walsh[0]["rz"] == 554 + roundoff and walsh[0]["cx"] > 1076
+
+
+@st.composite
+def _cosine_case(draw):
+    """Compact cosine rows up to 18 qubits, both bases: the maximal row, one plaquette's
+    cosine or every magnetic row, at a random coupling and scale of either sign."""
+    n_p = draw(st.integers(1, 6))
+    n_q = draw(st.integers(1, min(5, 18 // n_p)))
+    kinds = ["original", "random"] + (["pair"] if n_p > 1 else []) + (["builtin"] if n_p == 3 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "pair":
+        weave = _pair_weave(n_p, *draw(st.lists(st.integers(0, n_p - 1), min_size=2,
+                                                max_size=2, unique=True)))
+    elif kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        weave = u.weave_from_matrix(np.linalg.qr(rng.standard_normal((n_p, n_p)))[0])
+    else:
+        weave = u.builtin_weave(n_p) if kind == "builtin" else None
+    g = draw(st.floats(0.1, 2.0))
+    d = u.digitize(n_p, n_q, g, "compact", "original" if weave is None else "weaved", weave)
+    rows = u.magnetic_terms(d, weave)
+    term = draw(st.sampled_from(["maximal", "cosine", "magnetic"]))
+    if term == "cosine":
+        terms = [u.CosineTerm(((draw(st.integers(0, n_p - 1)), 1.0),), prefactor=g**2)]
+    else:
+        terms = rows[-1:] if term == "maximal" else rows
+    scale = draw(st.floats(0.01, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return terms, d, scale, draw(st.integers(0, 2**16))
+
+
+def _nonzero(series):
+    return {mask: a for mask, a in series.items() if mask}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_cosine_case())
+@example(([u.CosineTerm(tuple((p, 1.0) for p in range(6)), prefactor=0.01)],
+          u.digitize(6, 3, 0.1, "compact"), -1.0, 0))
+def test_cosine_counts_hold_to_the_series_path(case):
+    # log-uniform cutoffs and cutoffs within 1e-12 of 2|a|: the kept masks differ only
+    # where 2|a| is that close to the cutoff (or within round-off of it), and agree in value
+    terms, d, scale, seed = case
+    series = u.hamiltonian_series(terms, d, scale)
+    top = np.abs(series.coeffs).max()
+    size = np.abs(series.coeffs[series.words.any(axis=1)])
+    rng = np.random.default_rng(seed)
+    near = 2 * rng.choice(size, 4) * (1 + rng.uniform(-1e-12, 1e-12, 4)) if size.size else []
+    thetas = [max(theta, 2 * _ROUNDOFF * top)
+              for theta in [*np.exp(rng.uniform(np.log(1e-9 * top), np.log(4 * top), 6)), *near]]
+    same = []
+    for theta in thetas:
+        kept = _nonzero(u.threshold_truncate(series, theta)[0])
+        pruned = _nonzero(_pruned_cosine_series(terms, d, scale, theta))
+        for mask in kept.keys() ^ pruned.keys():
+            a = series.coefficient(mask)
+            assert abs(2 * abs(a) - theta) <= 1e-12 * theta + 2 * _ROUNDOFF * top
+        for mask in kept.keys() & pruned.keys():
+            assert abs(pruned[mask] - kept[mask]) <= _ROUNDOFF * top
+        same.append(kept.keys() == pruned.keys())
+    swept = cosine_sweep_counts(terms, d, scale, thetas)
+    for theta, alike, got, want in zip(thetas, same, swept, u.sequency_sweep_counts(series, thetas)):
+        assert got == want or not alike
+
+
+def test_cosine_masks_straddling_two_words():
+    # n_q = 3: plaquette 21 holds qubits 63-65, across the first two mask words; the kept
+    # masks are those of the same cosine on plaquettes 0-2 shifted up by 60 qubits
+    term = u.CosineTerm(((20, 1.0), (21, -0.7), (22, 0.4)), prefactor=-1.0)
+    d = u.digitize(23, 3, 0.5, "compact")
+    local = u.hamiltonian_series([u.CosineTerm(((0, 1.0), (1, -0.7), (2, 0.4)), prefactor=-1.0)],
+                                 u.digitize(3, 3, 0.5, "compact"), -0.3)
+    thetas = [1e-4, 1e-3, 1e-2]
+    for theta in thetas:
+        want = {mask << 60: a for mask, a in _nonzero(u.threshold_truncate(local, theta)[0]).items()}
+        got = _nonzero(_pruned_cosine_series([term], d, -0.3, theta))
+        assert got.keys() == want.keys() and any(mask >> 64 and mask & (1 << 63) for mask in got)
+        assert max(abs(got[mask] - want[mask]) for mask in got) <= 1e-15
+    wide = u.hamiltonian_series([term], d, -0.3)
+    assert cosine_sweep_counts([term], d, -0.3, thetas) == u.sequency_sweep_counts(wide, thetas)
+
+
+def test_cosine_counts_keep_masks_that_clear_the_cutoff_only_in_the_sum():
+    # two equal rows of two plaquettes: each holds half of every coefficient, so at
+    # theta / 2 = 1.5 |a| of one row every mask is kept from the sum and from neither row
+    d = u.digitize(2, 2, 0.7, "compact")
+    row = u.CosineTerm(((0, 1.0), (1, 1.0)), prefactor=-1.0)
+    thetas = [3 * abs(a) for mask, a in u.hamiltonian_series([row], d, 0.4).items() if mask]
+    got = cosine_sweep_counts([row, row], d, 0.4, thetas)
+    assert got == u.sequency_sweep_counts(u.hamiltonian_series([row, row], d, 0.4), thetas)
+    assert all(c["rz"] > 0 for c in got)
+
+
+def test_cosine_counts_build_a_series_at_cutoff_zero_only(monkeypatch):
+    import u1rotor.trotter as trotter
+
+    d = u.digitize(3, 2, 0.5, "compact")
+    terms = u.magnetic_terms(d)
+    series = u.hamiltonian_series(terms, d, -0.2)
+    want = u.sequency_sweep_counts(series, [0.0, 1e-3])
+    assert cosine_sweep_counts(terms, d, -0.2, [0.0, 1e-3]) == want
+    assert cosine_sweep_counts(terms, d, -0.2, []) == []
+
+    def refuse(*args):
+        raise AssertionError("a positive-cutoff cosine count built a series")
+
+    monkeypatch.setattr(trotter, "hamiltonian_series", refuse)
+    assert cosine_sweep_counts(terms, d, -0.2, [1e-3]) == want[1:]
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        cosine_sweep_counts(terms, d, -0.2, [1e-3, float("nan")])
+    with pytest.raises(ValueError, match="cosine terms only"):
+        cosine_sweep_counts([u.BilinearTerm("BB", 0, 1, 1.0)], d, -0.2, [1e-3])
